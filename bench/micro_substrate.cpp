@@ -7,11 +7,13 @@
 // template must be bit-identical, not just fast.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 
 #include "consensus/votes.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_backends.hpp"
 #include "crypto/sortition.hpp"
 #include "net/gossip.hpp"
 #include "sim/round_engine.hpp"
@@ -29,6 +31,30 @@ void BM_Sha256_1KiB(benchmark::State& state) {
                           1024);
 }
 BENCHMARK(BM_Sha256_1KiB);
+
+// One compression per iteration through each backend explicitly (the
+// per-block cost behind every digest); the SHA-NI case is skipped on a
+// CPU without it. Each iteration chains the previous state, so the
+// calls cannot overlap.
+void BM_Sha256Compress(benchmark::State& state, bool sha_ni) {
+  const crypto::detail::CompressFn compress =
+      sha_ni ? crypto::detail::sha256_compress_sha_ni()
+             : &crypto::detail::sha256_compress_scalar;
+  if (compress == nullptr) {
+    state.SkipWithError("this CPU or build has no SHA-NI");
+    return;
+  }
+  std::array<std::uint8_t, 64> block{};
+  block.fill(0xab);
+  std::array<std::uint32_t, 8> chain = crypto::sha256_initial_state();
+  for (auto _ : state) {
+    compress(chain, block.data());
+    benchmark::DoNotOptimize(chain);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK_CAPTURE(BM_Sha256Compress, scalar, false);
+BENCHMARK_CAPTURE(BM_Sha256Compress, sha_ni, true);
 
 void BM_VrfEvaluate(benchmark::State& state) {
   const crypto::KeyPair key = crypto::KeyPair::derive(1, 1);

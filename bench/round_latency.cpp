@@ -41,6 +41,7 @@
 
 #include "alloc_counter.hpp"
 #include "bench_util.hpp"
+#include "crypto/sha256.hpp"
 #include "econ/foundation_schedule.hpp"
 #include "econ/sparse_payout.hpp"
 #include "sim/aggregators.hpp"
@@ -478,8 +479,9 @@ int main(int argc, char** argv) {
               "(%zu workers; override with --nodes/--rounds/"
               "--inner-threads; --sweep=1 for the node ladder; "
               "--sparse=1 for the Sampled sparse-vs-dense comparison; "
-              "--self-check=1 for the CI gates)\n",
-              nodes, rounds, inner_threads, workers);
+              "--self-check=1 for the CI gates) sha256=%s\n",
+              nodes, rounds, inner_threads, workers,
+              crypto::sha256_backend_name());
 
   // The dense reference is the O(N) path being amortized away; a short
   // prefix is enough for a stable ms/round and the identity check.

@@ -36,6 +36,10 @@ import sys
 # module-wide average.
 DEFAULT_FLOORS = {
     "consensus": 90.0,
+    # 98.6% on a SHA-NI host; a CPU without SHA-NI leaves the ~39 lines
+    # of the hardware backend and its CPUID probe unrun (~88%), so the
+    # floor sits below that and holds on any host.
+    "crypto": 85.0,
     "econ": 90.0,
     "sim": 88.0,
     "util": 85.0,

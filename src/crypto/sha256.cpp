@@ -2,6 +2,12 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
+#include "crypto/sha256_backends.hpp"
 #include "util/require.hpp"
 
 namespace roleshare::crypto {
@@ -38,8 +44,10 @@ void Sha256::process_block(const std::uint8_t* block) {
   sha256_compress(state_, block);
 }
 
-void sha256_compress(std::array<std::uint32_t, 8>& state_,
-                     const std::uint8_t* block) {
+namespace detail {
+
+void sha256_compress_scalar(std::array<std::uint32_t, 8>& state_,
+                            const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t{block[4 * i]} << 24) |
@@ -83,6 +91,108 @@ void sha256_compress(std::array<std::uint32_t, 8>& state_,
   state_[5] += f;
   state_[6] += g;
   state_[7] += h;
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+// One block through the SHA-NI instructions. The hardware keeps the
+// working variables as two vectors, ABEF and CDGH, and runs two rounds
+// per sha256rnds2; each loop step is four rounds over one 4-word slice
+// of the message schedule, which sha256msg1/msg2 extend in place. The
+// target attribute scopes the ISA to this function, so the build needs
+// no -msha and the dispatcher only calls it after the CPUID check.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const auto* in = reinterpret_cast<const __m128i*>(block);
+  const auto* k = reinterpret_cast<const __m128i*>(kRoundConstants.data());
+
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<__m128i*>(&state[0]));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<__m128i*>(&state[4]));
+  dcba = _mm_shuffle_epi32(dcba, 0xB1);           // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);           // EFGH
+  __m128i abef = _mm_alignr_epi8(dcba, cdgh, 8);  // ABEF
+  cdgh = _mm_blend_epi16(cdgh, dcba, 0xF0);       // CDGH
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // w[q & 3] holds schedule words 4q..4q+3 for the step q that uses them.
+  __m128i w[4];
+#pragma GCC unroll 16
+  for (int q = 0; q < 16; ++q) {
+    __m128i& cur = w[q & 3];
+    if (q < 4) cur = _mm_shuffle_epi8(_mm_loadu_si128(in + q), byte_swap);
+    const __m128i wk = _mm_add_epi32(cur, _mm_loadu_si128(k + q));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    if (q >= 3 && q < 15) {
+      // Finish the words of step q + 1: add W[t-7], then sigma1.
+      __m128i& next = w[(q + 1) & 3];
+      next = _mm_add_epi32(next, _mm_alignr_epi8(cur, w[(q + 3) & 3], 4));
+      next = _mm_sha256msg2_epu32(next, cur);
+    }
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    // Start the words of step q + 3: W[t-16] + sigma0(W[t-15]).
+    if (q >= 1 && q < 13) {
+      __m128i& later = w[(q + 3) & 3];
+      later = _mm_sha256msg1_epu32(later, cur);
+    }
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+}
+
+}  // namespace
+
+CompressFn sha256_compress_sha_ni() {
+  return cpu_has_sha_ni() ? &compress_sha_ni : nullptr;
+}
+
+#else
+
+CompressFn sha256_compress_sha_ni() { return nullptr; }
+
+#endif
+
+}  // namespace detail
+
+namespace {
+
+detail::CompressFn selected_backend() {
+  static const detail::CompressFn backend = [] {
+    const detail::CompressFn sha_ni = detail::sha256_compress_sha_ni();
+    return sha_ni != nullptr ? sha_ni : &detail::sha256_compress_scalar;
+  }();
+  return backend;
+}
+
+}  // namespace
+
+void sha256_compress(std::array<std::uint32_t, 8>& state,
+                     const std::uint8_t* block) {
+  selected_backend()(state, block);
+}
+
+const char* sha256_backend_name() {
+  return selected_backend() == &detail::sha256_compress_scalar ? "scalar"
+                                                               : "sha_ni";
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -180,7 +290,9 @@ Sha256Fixed::Sha256Fixed(std::size_t message_len) : len_(message_len) {
 void Sha256Fixed::write(std::size_t offset, const std::uint8_t* bytes,
                         std::size_t count) {
   RS_REQUIRE(offset + count <= len_, "Sha256Fixed write out of range");
-  std::memcpy(block_.data() + offset, bytes, count);
+  // memcpy with a null source is undefined even for zero bytes, and an
+  // empty vector's data() may be null.
+  if (count > 0) std::memcpy(block_.data() + offset, bytes, count);
 }
 
 Digest Sha256Fixed::digest() const {

@@ -43,9 +43,16 @@ Digest sha256(std::string_view text);
 
 /// Raw SHA-256 compression: folds one 64-byte block into `state`. The
 /// streaming Sha256 context and the fixed-layout fast path below share
-/// this single implementation, so their digests cannot diverge.
+/// this single implementation, so their digests cannot diverge. It runs
+/// the x86 SHA-NI instructions when the CPU has them and the portable
+/// scalar loop otherwise, chosen once per process; both give the same
+/// bytes.
 void sha256_compress(std::array<std::uint32_t, 8>& state,
                      const std::uint8_t* block);
+
+/// The compression backend this process runs: "sha_ni" or "scalar".
+/// Benches record it so timings from different hosts say which ran.
+const char* sha256_backend_name();
 
 /// The SHA-256 initialization vector (FIPS 180-4 §5.3.3).
 std::array<std::uint32_t, 8> sha256_initial_state();

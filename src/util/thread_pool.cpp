@@ -115,7 +115,7 @@ struct ParallelForState {
   std::size_t n = 0;
   const std::function<void(std::size_t)>* body = nullptr;
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> live{0};
+  std::size_t live = 0;  // guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done;
   std::mutex error_mutex;
@@ -138,10 +138,12 @@ struct ParallelForState {
         record_error(i);
       }
     }
-    if (live.fetch_sub(1) == 1) {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      done.notify_all();
-    }
+    // Decrement and notify under the mutex: the waiter cannot observe
+    // live == 0, return and pop this stack-allocated state until the
+    // last worker has released the lock, so no worker touches the state
+    // after the call returns.
+    std::lock_guard<std::mutex> lock(done_mutex);
+    if (--live == 0) done.notify_all();
   }
 };
 
@@ -165,11 +167,11 @@ void ThreadPool::parallel_for_indexed(
       }
     }
   } else {
-    state.live.store(fan_out);
+    state.live = fan_out;
     for (std::size_t w = 0; w < fan_out; ++w)
       submit([s = &state] { s->claim_loop(); });
     std::unique_lock<std::mutex> lock(state.done_mutex);
-    state.done.wait(lock, [&] { return state.live.load() == 0; });
+    state.done.wait(lock, [&] { return state.live == 0; });
   }
   if (state.first_error) std::rethrow_exception(state.first_error);
 }

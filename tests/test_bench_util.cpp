@@ -42,6 +42,14 @@ TEST(BenchUtil, EmitJsonAlwaysRecordsGitSha) {
   EXPECT_NE(json.find(git_sha()), std::string::npos);
 }
 
+TEST(BenchUtil, EmitJsonRecordsTheSha256Backend) {
+  emit_json("test_backend", {});
+  const std::string json = read_and_remove("BENCH_test_backend.json");
+  EXPECT_NE(json.find(std::string("\"sha256_backend\": \"") +
+                      crypto::sha256_backend_name() + "\""),
+            std::string::npos);
+}
+
 TEST(BenchUtil, EmitJsonAlwaysRecordsPeakRss) {
   // The memory-trajectory field behind the exact-vs-streaming story: a
   // positive byte count on every supported platform.

@@ -1,11 +1,15 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <atomic>
+#include <csignal>
 #include <future>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace roleshare::util {
@@ -75,6 +79,61 @@ TEST(ThreadPool, ReusableAcrossBatches) {
         100, [&](std::size_t i) { total += static_cast<long long>(i); });
   }
   EXPECT_EQ(total.load(), 5 * (99 * 100 / 2));
+}
+
+// Overwrites the stack below the caller with non-zero bytes, the way
+// unrelated calls reuse the frame a returned parallel_for_indexed used.
+__attribute__((noinline)) void scribble_stack() {
+  volatile unsigned char junk[2048];
+  for (std::size_t i = 0; i < sizeof(junk); ++i) junk[i] = 0xA5;
+}
+
+// Regression for a use-after-scope race in parallel_for_indexed: the
+// last worker used to drop the live count before taking the done mutex,
+// so the waiter could return while that worker still had to lock and
+// notify the call's stack-allocated state. After a scribbled frame the
+// late lock crashes or blocks forever, so ctest runs this suite under a
+// short TIMEOUT. A thread signals the workers non-stop: each no-op
+// handler stalls a worker at an arbitrary instruction, the way
+// preemption does, which widens the few-instruction window enough to
+// hit within 10^5 back-to-back calls.
+TEST(ThreadPoolStress, BackToBackTinyCalls) {
+  constexpr std::size_t kWorkers = 3;
+#if defined(__SANITIZE_THREAD__)
+  constexpr std::size_t kCalls = 10000;  // TSan checks ordering, not luck
+#else
+  constexpr std::size_t kCalls = 100000;
+#endif
+  // The no-op handler stays installed: a signal still in flight after
+  // the test must stay harmless. Nothing else in the suite uses SIGUSR1.
+  struct sigaction quiet {};
+  quiet.sa_handler = [](int) {};
+  quiet.sa_flags = SA_RESTART;
+  ASSERT_EQ(sigaction(SIGUSR1, &quiet, nullptr), 0);
+
+  ThreadPool pool(kWorkers);
+  // One index per worker, held at a latch until every worker has one, so
+  // each worker records its thread handle exactly once.
+  std::vector<pthread_t> workers(kWorkers);
+  std::latch all_in(kWorkers);
+  pool.parallel_for_indexed(kWorkers, [&](std::size_t i) {
+    workers[i] = pthread_self();
+    all_in.arrive_and_wait();
+  });
+
+  std::atomic<bool> stop{false};
+  std::thread interrupter([&] {
+    while (!stop.load())
+      for (const pthread_t worker : workers) pthread_kill(worker, SIGUSR1);
+  });
+  std::atomic<std::size_t> total{0};
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    pool.parallel_for_indexed(kWorkers, [&](std::size_t i) { total += i; });
+    scribble_stack();
+  }
+  stop.store(true);
+  interrupter.join();
+  EXPECT_EQ(total.load(), kCalls * (0 + 1 + 2));
 }
 
 }  // namespace
