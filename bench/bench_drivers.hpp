@@ -10,22 +10,33 @@
 // wire protocol's HELLO config echo (orch/wire.hpp) re-checks the
 // invariant at runtime across process boundaries.
 //
+// This file is also the one fold path. Every series document — a bench
+// main's --series-out, the orchestrate coordinator's, merge_partials' —
+// is built by write_series below, and every fold of shard partials goes
+// through ShardableBench::fold. merge_partials reaches the fold through
+// the document overload of make_shardable_bench: the shard's own header
+// echo becomes the argv of the registry factory, and the fold's header
+// check proves the round trip.
+//
 // Layers:
 //   PanelDriver<PartialT>   the generic shard surface of one bench:
 //                           header + panel_meta + run_panel as
 //                           run_sharded_panels consumes them, plus
 //                           series_json (finalize one merged partial
 //                           into the deterministic series snapshot).
+//   write_series            the series document of a set of panel
+//                           partials over one window.
 //   make_<bench>_driver     per-bench factory; also returns the parsed
 //                           knob values the bench main prints.
-//   ShardableBench          type-erased driver for the orchestrator:
-//                           run_window (worker side, wraps
-//                           run_sharded_panels) + fold/write_series
-//                           (coordinator side, the merge_partials fold
-//                           discipline: in-window-order typed merges,
-//                           then write_series_document over [0, runs)).
+//   ShardableBench          type-erased driver: run_window (worker side,
+//                           wraps run_sharded_panels) + fold /
+//                           write_series / folded_document (in-window-
+//                           order merges, then the full-range outputs).
+//   make_shardable_bench    the registry, by bench name + argv or by a
+//                           shard document's header echo.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -57,6 +68,23 @@ struct PanelDriver {
   /// deterministic "series" object of the series document.
   std::function<util::json::Value(const PartialT&)> series_json;
 };
+
+/// Writes the series document of `partials` (one per panel) covering
+/// runs [run_begin, run_end) — the only builder of a series panel array.
+template <typename PartialT>
+void write_series(const PanelDriver<PartialT>& driver,
+                  const std::vector<PartialT>& partials,
+                  std::size_t run_begin, std::size_t run_end,
+                  const std::string& path) {
+  util::json::Value panels = util::json::Value::array();
+  for (std::size_t i = 0; i < driver.panel_count; ++i) {
+    util::json::Value v = driver.panel_meta(i);
+    v.set("series", driver.series_json(partials[i]));
+    panels.push_back(std::move(v));
+  }
+  write_series_document(path, driver.header, run_begin, run_end,
+                        std::move(panels));
+}
 
 // ---------------------------------------------------------------- fig3
 
@@ -513,7 +541,10 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
       {{"nodes", d.nodes},
        {"runs", d.runs},
        {"rounds", d.rounds},
-       {"agg", sim::to_string(d.agg)}});
+       {"agg", sim::to_string(d.agg)},
+       {"alpha", d.alpha},
+       {"beta", d.beta},
+       {"top_fraction", d.top_fraction}});
   d.panels.panel_meta = [](std::size_t panel) {
     util::json::Value v = util::json::Value::object();
     v.set("defection_rate", longhorizon::kDefectionRates[panel]);
@@ -543,14 +574,15 @@ inline LongHorizonDriver make_longhorizon_driver(int argc, char** argv) {
   return d;
 }
 
-// --------------------------------------------- type-erased orchestration
+// --------------------------------------------- type-erased fold surface
 
-/// A bench the orchestrator can drive without knowing its partial type.
-/// The worker side calls run_window (run_sharded_panels under the
-/// coordinator-supplied knobs); the coordinator side folds each finished
-/// window's partial-document bytes IN WINDOW ORDER and finally writes
-/// the series document — the exact merge_partials discipline, which is
-/// why the output is byte-identical to a single-process --series-out.
+/// A bench driven without knowing its partial type. The worker side
+/// calls run_window (run_sharded_panels under the coordinator-supplied
+/// knobs); the folding side (orchestrate coordinator, merge_partials)
+/// folds each finished window's partial-document bytes IN WINDOW ORDER,
+/// then writes the series document or takes the folded full-range
+/// document — which is why the output is byte-identical to a
+/// single-process --series-out.
 struct ShardableBench {
   std::string bench_name;
   std::size_t runs = 0;
@@ -558,12 +590,19 @@ struct ShardableBench {
   /// The shard-document header dump — the HELLO config echo.
   std::string config_echo;
   std::function<orch::WindowOutcome(const ShardKnobs&)> run_window;
+  /// Folds the finished window [run_begin, run_end) held in `bytes`
+  /// (either codec). Refuses a document whose header or panel layout is
+  /// not this bench's, an unfinished checkpoint, or an out-of-order
+  /// window, naming `origin`.
   std::function<void(const std::string& bytes, std::size_t run_begin,
                      std::size_t run_end, const std::string& origin)>
       fold;
   /// Writes the final series document; callable once every window in
   /// [0, runs) has been folded.
   std::function<void(const std::string& series_out)> write_series;
+  /// The folded [0, runs) partial document, for a result-store publish;
+  /// same precondition as write_series.
+  std::function<util::json::Value()> folded_document;
 };
 
 template <typename PartialT>
@@ -575,6 +614,17 @@ ShardableBench make_shardable_bench(PanelDriver<PartialT> driver) {
     bool any = false;
   };
   auto state = std::make_shared<FoldState>();
+  // The folded partials, once they cover the whole run range.
+  const auto full_range = [runs = driver.runs,
+                           state]() -> const std::vector<PartialT>& {
+    if (!state->any || state->begin != 0 || state->end != runs) {
+      throw std::runtime_error(
+          "only runs [" + std::to_string(state->begin) + ", " +
+          std::to_string(state->end) + ") of [0, " + std::to_string(runs) +
+          ") are folded");
+    }
+    return state->partials;
+  };
 
   ShardableBench bench;
   bench.bench_name = driver.bench_name;
@@ -599,7 +649,7 @@ ShardableBench make_shardable_bench(PanelDriver<PartialT> driver) {
     const util::json::Value doc = sim::decode_partial_document(bytes, origin);
     ShardExecution<PartialT> exec;
     load_partial_document(doc, origin, driver.header, driver.panel_count,
-                          exec);
+                          driver.panel_meta, exec);
     if (!exec.complete() || exec.window_begin != run_begin ||
         exec.window_end != run_end) {
       throw std::runtime_error(
@@ -627,21 +677,12 @@ ShardableBench make_shardable_bench(PanelDriver<PartialT> driver) {
       state->partials[i].merge(exec.partials[i]);
     state->end = run_end;
   };
-  bench.write_series = [driver, state](const std::string& series_out) {
-    if (!state->any || state->begin != 0 || state->end != driver.runs) {
-      throw std::runtime_error(
-          "orchestrate: series requested but only runs [" +
-          std::to_string(state->begin) + ", " + std::to_string(state->end) +
-          ") of [0, " + std::to_string(driver.runs) + ") are folded");
-    }
-    util::json::Value panels = util::json::Value::array();
-    for (std::size_t i = 0; i < driver.panel_count; ++i) {
-      util::json::Value v = driver.panel_meta(i);
-      v.set("series", driver.series_json(state->partials[i]));
-      panels.push_back(std::move(v));
-    }
-    write_series_document(series_out, driver.header, 0, driver.runs,
-                          std::move(panels));
+  bench.write_series = [driver, full_range](const std::string& series_out) {
+    write_series(driver, full_range(), 0, driver.runs, series_out);
+  };
+  bench.folded_document = [driver, full_range]() {
+    return partial_document(driver.header, 0, driver.runs, driver.runs,
+                            full_range(), driver.panel_meta);
   };
   return bench;
 }
@@ -667,9 +708,31 @@ inline ShardableBench make_shardable_bench(const std::string& bench,
     return make_shardable_bench(make_strategic_driver(argc, argv).panels);
   if (bench == "fig_longhorizon")
     return make_shardable_bench(make_longhorizon_driver(argc, argv).panels);
-  throw std::invalid_argument("--bench=" + bench +
-                              " is not shard-capable — pick one of: " +
+  throw std::invalid_argument("bench \"" + bench +
+                              "\" is not shard-capable — pick one of: " +
                               kShardableBenchNames);
+}
+
+/// The bench that wrote `shard_doc`, rebuilt from the document's own
+/// header echo: registry entry by "bench", and each other header field
+/// passed as --field=value (`_` read as `-`). Window members are not
+/// config. A field the factory does not parse, or parses to another
+/// value, leaves the rebuilt header different from the document's, so
+/// the first fold refuses the document instead of folding it under the
+/// wrong config.
+inline ShardableBench make_shardable_bench(const util::json::Value& shard_doc) {
+  std::vector<std::string> args = {"shard-document"};
+  for (const auto& [key, value] : shard_doc.as_object()) {
+    if (key == "kind" || key == "bench" || is_window_key(key)) continue;
+    std::string flag = key;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    args.push_back("--" + flag + "=" +
+                   (value.is_string() ? value.as_string() : value.dump()));
+  }
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return make_shardable_bench(shard_doc.at("bench").as_string(),
+                              static_cast<int>(argv.size()), argv.data());
 }
 
 }  // namespace roleshare::bench

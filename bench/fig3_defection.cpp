@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
       {"agg", sim::to_string(d.agg)}};
 
   std::size_t accumulator_bytes = 0;
-  util::json::Value series_panels = util::json::Value::array();
   for (std::size_t i = 0; i < d.panels.panel_count; ++i) {
     const sim::DefectionSeries series =
         exec.partials[i].finalize(bench::fig3::kTrim);
@@ -96,16 +95,11 @@ int main(int argc, char** argv) {
         "mean_final_pct_" +
             std::to_string(static_cast<int>(bench::fig3::kRates[i] * 100)),
         mean_final);
-
-    util::json::Value panel = d.panels.panel_meta(i);
-    panel.set("series", bench::defection_series_json(series));
-    series_panels.push_back(std::move(panel));
   }
 
   if (!series_out.empty()) {
-    bench::write_series_document(series_out, d.panels.header,
-                                 exec.window_begin, exec.cursor,
-                                 std::move(series_panels));
+    bench::write_series(d.panels, exec.partials, exec.window_begin,
+                        exec.cursor, series_out);
     std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 

@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   bool churn_varies = true;
   std::size_t accumulator_bytes = 0;
-  util::json::Value series_panels = util::json::Value::array();
   for (std::size_t panel = 0; panel < d.panels.panel_count; ++panel) {
     const bench::scenario::PolicyCase& policy =
         bench::scenario::panel_policy(panel);
@@ -131,11 +130,6 @@ int main(int argc, char** argv) {
     const double level = bench::scenario::kLevels[i];
     const sim::DefectionSeries series =
         exec.partials[panel].finalize(bench::scenario::kTrim);
-    {
-      util::json::Value v = d.panels.panel_meta(panel);
-      v.set("series", bench::defection_series_json(series));
-      series_panels.push_back(std::move(v));
-    }
 
     accumulator_bytes += series.accumulator_bytes;
     const double final_pct = mean_final_pct(series);
@@ -175,9 +169,8 @@ int main(int argc, char** argv) {
   }
 
   if (!series_out.empty()) {
-    bench::write_series_document(series_out, d.panels.header,
-                                 exec.window_begin, exec.cursor,
-                                 std::move(series_panels));
+    bench::write_series(d.panels, exec.partials, exec.window_begin,
+                        exec.cursor, series_out);
     std::printf("\n[series] wrote %s\n", series_out.c_str());
   }
 

@@ -171,9 +171,13 @@ inline ShardKnobs arg_shard_knobs(int argc, char** argv, std::size_t runs) {
 }
 
 /// The config-echo header both document kinds share. `kind` is the
-/// experiment family ("defection" / "reward" / "strategic") merge_partials
-/// dispatches on; `echo` is the bench's own config summary and must be a
-/// pure function of the knobs (no wall time, no git SHA).
+/// experiment family (the partial type the panels carry), `bench` names
+/// the registry entry that folds the document (bench_drivers.hpp), and
+/// `echo` is the bench's own config summary: a pure function of the
+/// knobs (no wall time, no git SHA). Each echo field is named after the
+/// bench flag that sets it (`_` for `-`; a bench constant such as fig3's
+/// trim has none), so the header alone rebuilds the driver that wrote
+/// it.
 inline util::json::Value shard_document_header(
     const std::string& kind, const std::string& bench,
     std::vector<std::pair<std::string, util::json::Value>> echo) {
@@ -182,6 +186,22 @@ inline util::json::Value shard_document_header(
   v.set("bench", bench);
   for (auto& [key, value] : echo) v.set(key, std::move(value));
   return v;
+}
+
+/// The members a document carries around its header: the window and the
+/// panels. Every other member is header and must match the reader's.
+inline bool is_window_key(const std::string& key) {
+  return key == "run_begin" || key == "run_end" || key == "window_end" ||
+         key == "panels";
+}
+
+/// The panel-identity fields of a partial document's panel (everything
+/// but its "partial").
+inline util::json::Value panel_meta_of(const util::json::Value& panel) {
+  util::json::Value meta = util::json::Value::object();
+  for (const auto& [key, value] : panel.as_object())
+    if (key != "partial") meta.set(key, value);
+  return meta;
 }
 
 /// Builds the partial document for `partials` covering runs
@@ -276,13 +296,14 @@ struct ShardExecution {
 /// Validates a decoded partial document against this invocation's header
 /// and panel layout, then adopts its partials and window into `exec`.
 /// `origin` names the byte source ("--partial-in file X", "store entry
-/// Y") in every refusal. Shared by the resume and cache-hit paths.
+/// Y", a merge_partials shard) in every refusal. Shared by the resume,
+/// cache-hit and fold paths.
 template <typename PartialT>
-void load_partial_document(const util::json::Value& doc,
-                           const std::string& origin,
-                           const util::json::Value& header,
-                           std::size_t panel_count,
-                           ShardExecution<PartialT>& exec) {
+void load_partial_document(
+    const util::json::Value& doc, const std::string& origin,
+    const util::json::Value& header, std::size_t panel_count,
+    const std::function<util::json::Value(std::size_t)>& panel_meta,
+    ShardExecution<PartialT>& exec) {
   const std::string& doc_kind = doc.at("kind").as_string();
   const std::string& kind = header.at("kind").as_string();
   if (doc_kind != kind) {
@@ -293,8 +314,10 @@ void load_partial_document(const util::json::Value& doc,
   // The document's config echo must match this invocation BEFORE any run
   // executes or any cached result is adopted — resuming (or serving) a
   // 10k-run shard under the wrong knobs must not burn or fake a
-  // sub-window of compute. (The envelope's spec hash re-checks on merge
-  // as the authoritative guard.)
+  // sub-window of compute. The check is symmetric: a header field the
+  // document lacks, or one this invocation lacks, is a different config.
+  // (The envelope's spec hash re-checks on merge as the authoritative
+  // guard.)
   for (const auto& [key, value] : header.as_object()) {
     const util::json::Value* other = doc.find(key);
     if (other == nullptr || other->dump() != value.dump()) {
@@ -304,12 +327,28 @@ void load_partial_document(const util::json::Value& doc,
           " there, this invocation has " + value.dump());
     }
   }
+  for (const auto& [key, value] : doc.as_object()) {
+    if (!is_window_key(key) && header.find(key) == nullptr) {
+      throw std::invalid_argument(
+          origin + " carries header field \"" + key + "\" (" +
+          value.dump() + ") that this invocation lacks");
+    }
+  }
   const auto& panels = doc.at("panels").as_array();
   if (panels.size() != panel_count) {
     throw std::invalid_argument(origin + " has " +
                                 std::to_string(panels.size()) +
                                 " panels, this bench produces " +
                                 std::to_string(panel_count));
+  }
+  for (std::size_t i = 0; i < panel_count; ++i) {
+    const std::string theirs = panel_meta_of(panels[i]).dump();
+    const std::string ours = panel_meta(i).dump();
+    if (theirs != ours) {
+      throw std::invalid_argument(origin + " has a different panel layout "
+                                  "at panel " + std::to_string(i) + ": " +
+                                  theirs + ", this bench has " + ours);
+    }
   }
   exec.partials.clear();
   for (const util::json::Value& panel : panels)
@@ -345,7 +384,7 @@ ShardExecution<PartialT> run_sharded_panels(
     const util::json::Value doc = sim::decode_partial_document(
         read_text_file(knobs.partial_in), knobs.partial_in);
     load_partial_document(doc, "--partial-in file " + knobs.partial_in,
-                          header, panel_count, exec);
+                          header, panel_count, panel_meta, exec);
     // The window comes from the file; an explicit CLI window that
     // disagrees must not be silently overridden.
     if (!knobs.shard.whole() && (knobs.shard.begin != exec.window_begin ||
@@ -377,7 +416,8 @@ ShardExecution<PartialT> run_sharded_panels(
         const util::json::Value doc =
             sim::decode_partial_document(*cached, origin);
         ShardExecution<PartialT> hit;
-        load_partial_document(doc, origin, header, panel_count, hit);
+        load_partial_document(doc, origin, header, panel_count, panel_meta,
+                              hit);
         if (!hit.complete() || hit.window_begin != exec.window_begin ||
             hit.window_end != exec.window_end) {
           throw std::invalid_argument(
