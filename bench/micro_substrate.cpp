@@ -212,6 +212,39 @@ void BM_GossipPropagate(benchmark::State& state) {
 }
 BENCHMARK(BM_GossipPropagate)->Arg(300)->Arg(1000);
 
+// The flood kernel alone at the Fig-3 shape: 500 nodes, fan-out 5,
+// uniform 20-120 ms hops, 20% defectors that receive but do not relay,
+// one reused scratch and arrival row, a fresh origin and stream per
+// flood. Second argument: the delay factor (1 = strong synchrony, 25 =
+// a degraded network).
+void BM_GossipPropagateInto(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double delay_factor = static_cast<double>(state.range(1));
+  util::Rng trng(5);
+  const net::Topology topo = net::Topology::random_k_out(n, 5, trng);
+  const net::UniformDelay delay(20, 120);
+  const net::GossipEngine engine(topo, delay, delay_factor);
+  net::RelaySet relay = net::RelaySet::all_cooperative(n);
+  util::Rng mask(7);
+  for (std::size_t v = 0; v < n; ++v)
+    if (mask.bernoulli(0.2)) relay.relays[v] = 0;
+  const util::Rng streams(6);
+  std::vector<net::TimeMs> arrival;
+  net::GossipScratch scratch;
+  std::uint64_t flood = 0;
+  for (auto _ : state) {
+    util::Rng rng = streams.split(flood);
+    engine.propagate_into(static_cast<ledger::NodeId>(flood % n), 0.0, relay,
+                          rng, arrival, scratch);
+    benchmark::DoNotOptimize(arrival.data());
+    ++flood;
+  }
+}
+BENCHMARK(BM_GossipPropagateInto)
+    ->ArgNames({"", "delay_factor"})
+    ->Args({500, 1})
+    ->Args({500, 25});
+
 void BM_VoteTally(benchmark::State& state) {
   // Pre-build verified votes once; measure counter throughput.
   const crypto::Hash256 seed = crypto::HashBuilder("t").build();

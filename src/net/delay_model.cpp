@@ -16,6 +16,8 @@ TimeMs UniformDelay::sample(util::Rng& rng, ledger::NodeId,
   return rng.uniform_real(lo_, hi_);
 }
 
+TimeMs UniformDelay::lower_bound() const { return lo_; }
+
 std::string UniformDelay::name() const {
   return "UniformDelay[" + std::to_string(lo_) + "," + std::to_string(hi_) +
          "]ms";
@@ -36,6 +38,8 @@ TimeMs ExponentialDelay::sample(util::Rng& rng, ledger::NodeId,
   return base_ - mean_extra_ * std::log(u);
 }
 
+TimeMs ExponentialDelay::lower_bound() const { return base_; }
+
 std::string ExponentialDelay::name() const {
   return "ExpDelay[base=" + std::to_string(base_) +
          ",mean=" + std::to_string(mean_extra_) + "]ms";
@@ -49,6 +53,8 @@ TimeMs ConstantDelay::sample(util::Rng&, ledger::NodeId,
                              ledger::NodeId) const {
   return value_;
 }
+
+TimeMs ConstantDelay::lower_bound() const { return value_; }
 
 std::string ConstantDelay::name() const {
   return "ConstDelay[" + std::to_string(value_) + "]ms";

@@ -21,6 +21,11 @@ class DelayModel {
   virtual TimeMs sample(util::Rng& rng, ledger::NodeId from,
                         ledger::NodeId to) const = 0;
 
+  /// A bound no sample falls below, in ms (>= 0). The gossip engine's
+  /// bucket queue uses it as its bucket width; a looser (smaller) bound
+  /// only costs speed, never changes arrivals.
+  virtual TimeMs lower_bound() const = 0;
+
   virtual std::string name() const = 0;
 };
 
@@ -30,6 +35,7 @@ class UniformDelay final : public DelayModel {
   UniformDelay(TimeMs lo, TimeMs hi);
   TimeMs sample(util::Rng& rng, ledger::NodeId from,
                 ledger::NodeId to) const override;
+  TimeMs lower_bound() const override;
   std::string name() const override;
 
  private:
@@ -44,6 +50,7 @@ class ExponentialDelay final : public DelayModel {
   ExponentialDelay(TimeMs base, TimeMs mean_extra);
   TimeMs sample(util::Rng& rng, ledger::NodeId from,
                 ledger::NodeId to) const override;
+  TimeMs lower_bound() const override;
   std::string name() const override;
 
  private:
@@ -57,6 +64,7 @@ class ConstantDelay final : public DelayModel {
   explicit ConstantDelay(TimeMs value);
   TimeMs sample(util::Rng& rng, ledger::NodeId from,
                 ledger::NodeId to) const override;
+  TimeMs lower_bound() const override;
   std::string name() const override;
 
  private:

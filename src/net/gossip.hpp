@@ -4,7 +4,11 @@
 // at every node, given that only `relaying` nodes forward messages
 // (defectors and faulty nodes receive but do not relay — the behavioural
 // root of the Fig-3 collapse). Arrival times are shortest paths through the
-// relay subgraph with independently sampled hop delays (Dijkstra).
+// relay subgraph with independently sampled hop delays: Dijkstra on an
+// exact bucket queue (Dial's algorithm) whose bucket width is the delay
+// model's lower bound, so nodes settle in the (time, node) order a binary
+// heap would give and every delay sample is drawn in the same order
+// (DESIGN.md §4, "Exact bucket-queue flood").
 #pragma once
 
 #include <cstdint>
@@ -33,10 +37,24 @@ struct RelaySet {
 };
 
 /// Reusable working memory for one propagate_into call. Owned by the
-/// caller (one per worker thread) so steady-state propagation performs no
-/// heap allocation once the heap vector has reached its high-water mark.
+/// caller (one per flood slot) so steady-state propagation performs no
+/// heap allocation once the buffers have reached their high-water marks.
+/// Only capacity carries over between calls.
 struct GossipScratch {
-  std::vector<std::pair<TimeMs, ledger::NodeId>> frontier;
+  /// A node queued in a bucket the flood has not reached yet, linked to
+  /// the next slot of the same bucket. The node's time is read from the
+  /// arrival row when the bucket is gathered.
+  struct Slot {
+    ledger::NodeId node;
+    std::uint32_t next;
+  };
+  /// Queued nodes; a slot is reused once its bucket has been gathered, so
+  /// the pool stays as small as the live frontier.
+  std::vector<Slot> pool;
+  /// heads[k]: first pool slot of bucket k (UINT32_MAX when empty).
+  std::vector<std::uint32_t> heads;
+  /// The bucket being settled, sorted by (time, node).
+  std::vector<std::pair<TimeMs, ledger::NodeId>> current;
 };
 
 class GossipEngine {
@@ -57,7 +75,7 @@ class GossipEngine {
                                 util::Rng& rng) const;
 
   /// Allocation-free form: writes arrival times into `arrival` (resized to
-  /// node_count) and runs Dijkstra on `scratch`'s reused binary heap.
+  /// node_count) and runs the flood on `scratch`'s reused buckets.
   /// Bit-identical to propagate() — same visit order, same samples drawn
   /// from `rng`.
   void propagate_into(ledger::NodeId origin, TimeMs start,

@@ -14,7 +14,8 @@ Topology Topology::random_k_out(std::size_t n, std::size_t k,
   RS_REQUIRE(k < n, "fan-out must be smaller than node count");
   Topology t;
   t.fan_out_ = k;
-  t.out_.resize(n);
+  t.offsets_.resize(n + 1);
+  t.targets_.resize(n * k);
   // Per node: k distinct targets != v, sampled from n-1 logical slots
   // with indices >= v shifted by one. The draw sequence and picks are
   // exactly Rng::sample_without_replacement(n-1, k)'s partial
@@ -30,8 +31,8 @@ Topology Topology::random_k_out(std::size_t n, std::size_t k,
   };
   for (std::size_t v = 0; v < n; ++v) {
     ++epoch;
-    auto& row = t.out_[v];
-    row.reserve(k);
+    t.offsets_[v + 1] = (v + 1) * k;
+    ledger::NodeId* const row = t.targets_.data() + v * k;
     for (std::size_t i = 0; i < k; ++i) {
       const auto j = static_cast<std::size_t>(
           rng.uniform_int(static_cast<std::int64_t>(i),
@@ -43,45 +44,27 @@ Topology Topology::random_k_out(std::size_t n, std::size_t k,
       slot_value[j] = displaced;
       slot_epoch[j] = epoch;
       const std::size_t target = (pick >= v) ? pick + 1 : pick;
-      row.push_back(static_cast<ledger::NodeId>(target));
+      row[i] = static_cast<ledger::NodeId>(target);
     }
-    std::sort(row.begin(), row.end());
+    std::sort(row, row + k);
   }
-  t.build_reverse();
   return t;
 }
 
 Topology Topology::from_adjacency(
     std::vector<std::vector<ledger::NodeId>> adjacency) {
   Topology t;
-  t.out_ = std::move(adjacency);
-  const std::size_t n = t.out_.size();
-  for (const auto& row : t.out_) {
+  const std::size_t n = adjacency.size();
+  t.offsets_.reserve(n + 1);
+  for (const auto& row : adjacency) {
     t.fan_out_ = std::max(t.fan_out_, row.size());
-    for (const ledger::NodeId to : row)
+    for (const ledger::NodeId to : row) {
       RS_REQUIRE(to < n, "adjacency target out of range");
+      t.targets_.push_back(to);
+    }
+    t.offsets_.push_back(t.targets_.size());
   }
-  t.build_reverse();
   return t;
-}
-
-std::span<const ledger::NodeId> Topology::out_neighbors(
-    ledger::NodeId v) const {
-  RS_REQUIRE(v < out_.size(), "node id out of range");
-  return out_[v];
-}
-
-std::span<const ledger::NodeId> Topology::in_neighbors(
-    ledger::NodeId v) const {
-  RS_REQUIRE(v < in_.size(), "node id out of range");
-  return in_[v];
-}
-
-void Topology::build_reverse() {
-  in_.assign(out_.size(), {});
-  for (std::size_t v = 0; v < out_.size(); ++v)
-    for (const ledger::NodeId to : out_[v])
-      in_[to].push_back(static_cast<ledger::NodeId>(v));
 }
 
 }  // namespace roleshare::net

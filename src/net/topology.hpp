@@ -5,6 +5,10 @@
 // run: node v relays to out_neighbors(v). Connectivity of the underlying
 // graph is what the synchrony of the round hinges on once defectors stop
 // relaying.
+//
+// Storage is flat (CSR): node v's targets are
+// targets_[offsets_[v] .. offsets_[v+1]), so a gossip flood walks one
+// contiguous array instead of chasing a heap pointer per node.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +16,7 @@
 #include <vector>
 
 #include "ledger/types.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace roleshare::net {
@@ -27,20 +32,19 @@ class Topology {
   static Topology from_adjacency(
       std::vector<std::vector<ledger::NodeId>> adjacency);
 
-  std::size_t node_count() const { return out_.size(); }
+  std::size_t node_count() const { return offsets_.size() - 1; }
   std::size_t fan_out() const { return fan_out_; }
 
-  std::span<const ledger::NodeId> out_neighbors(ledger::NodeId v) const;
-
-  /// Nodes that relay *to* v (precomputed reverse adjacency).
-  std::span<const ledger::NodeId> in_neighbors(ledger::NodeId v) const;
+  std::span<const ledger::NodeId> out_neighbors(ledger::NodeId v) const {
+    RS_REQUIRE(v < node_count(), "node id out of range");
+    return {targets_.data() + offsets_[v], targets_.data() + offsets_[v + 1]};
+  }
 
  private:
   Topology() = default;
-  void build_reverse();
 
-  std::vector<std::vector<ledger::NodeId>> out_;
-  std::vector<std::vector<ledger::NodeId>> in_;
+  std::vector<std::size_t> offsets_{0};  // node_count() + 1 entries
+  std::vector<ledger::NodeId> targets_;
   std::size_t fan_out_ = 0;
 };
 

@@ -219,7 +219,7 @@ class Job {
         send_message(conn.fd,
                      assign(static_cast<std::uint32_t>(index), w.attempts,
                             w.begin, w.end, spool_path_for(index, w.attempts),
-                            w.resume_path));
+                            w.resume_path, lease_ms()));
       } catch (const std::exception& e) {
         w.attempts--;
         drop_dead_conn(conn, e);
@@ -418,6 +418,14 @@ class Job {
             " replacements) — workers are dying faster than they work");
       spawn(true);
     }
+  }
+
+  /// The lease an ASSIGN grants, in ms (0 = none), for the worker's
+  /// heartbeat.
+  std::uint32_t lease_ms() const {
+    if (config_.lease_seconds <= 0) return 0;
+    return static_cast<std::uint32_t>(
+        std::clamp(config_.lease_seconds * 1000.0, 1.0, 4.0e9));
   }
 
   void expire_leases() {

@@ -44,7 +44,8 @@ struct JobConfig {
   std::string spool_dir;    // per-attempt partial files live here
   /// Seconds a window may stay leased without progress before it is
   /// re-issued to another worker; 0 disables the deadline (death and
-  /// FAIL still requeue).
+  /// FAIL still requeue). ASSIGN passes it on, and a running worker
+  /// heartbeats several times per lease.
   double lease_seconds = 0.0;
   /// A window aborts the job after this many failed/expired attempts.
   std::size_t max_attempts = 5;
@@ -78,6 +79,7 @@ struct JobStats {
   std::size_t respawns = 0;           // replacement workers spawned
   std::size_t duplicate_results = 0;  // late/straggler DONEs discarded
   std::size_t checkpoints = 0;        // PROGRESS messages received
+                                      // (heartbeats included)
 };
 
 /// Spawns one worker agent process; receives the worker id the agent

@@ -32,7 +32,8 @@ Message hello(std::uint32_t worker_id, std::string config_echo) {
 
 Message assign(std::uint32_t window_index, std::uint32_t attempt,
                std::uint64_t run_begin, std::uint64_t run_end,
-               std::string spool_path, std::string resume_path) {
+               std::string spool_path, std::string resume_path,
+               std::uint32_t lease_ms) {
   Message m;
   m.type = MsgType::Assign;
   m.window_index = window_index;
@@ -41,6 +42,7 @@ Message assign(std::uint32_t window_index, std::uint32_t attempt,
   m.run_end = run_end;
   m.spool_path = std::move(spool_path);
   m.resume_path = std::move(resume_path);
+  m.lease_ms = lease_ms;
   return m;
 }
 
@@ -99,6 +101,7 @@ std::string encode(const Message& message) {
       w.put_u64(message.run_end);
       w.put_string(message.spool_path);
       w.put_string(message.resume_path);
+      w.put_u32(message.lease_ms);
       break;
     case MsgType::Progress:
       w.put_u32(message.window_index);
@@ -153,6 +156,7 @@ Message decode_frame(std::string_view frame, const std::string& origin) {
     m.run_end = r.get_u64();
     m.spool_path = r.get_string();
     m.resume_path = r.get_string();
+    m.lease_ms = r.get_u32();
   } else if (name == "PROGRESS") {
     m.type = MsgType::Progress;
     r.begin_section(name);

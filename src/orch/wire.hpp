@@ -19,17 +19,22 @@
 //             would compute a different experiment).
 //   ASSIGN    coordinator -> worker: run window [run_begin, run_end).
 //             u32 window_index, u32 attempt, u64 run_begin, u64 run_end,
-//             string spool_path, string resume_path
+//             string spool_path, string resume_path, u32 lease_ms
 //             spool_path is THIS attempt's private checkpoint/result
 //             file (w<index>.a<attempt>.partial — two attempts never
 //             share a file, which is what makes straggler retries safe);
 //             resume_path is a previous attempt's checkpoint to resume
-//             from, empty for a fresh start.
-//   PROGRESS  worker -> coordinator: a checkpoint exists on disk.
+//             from, empty for a fresh start. lease_ms is the lease
+//             this attempt holds (0 = none); the worker heartbeats
+//             several times per lease while the window runs.
+//   PROGRESS  worker -> coordinator: a checkpoint exists on disk, or the
+//             attempt is still running.
 //             u32 window_index, u32 attempt, u64 cursor
 //             cursor = first run NOT yet executed. Renews the lease and
 //             tells the coordinator the attempt's spool file is worth
-//             passing as resume_path if this worker dies.
+//             passing as resume_path if this worker dies. A heartbeat
+//             sends cursor 0: it renews the lease and names no
+//             checkpoint (a checkpoint always follows at least one run).
 //   DONE      worker -> coordinator: the window's finished partial
 //             document is at spool_path.
 //             u32 window_index, u32 attempt, u8 store_hit,
@@ -61,7 +66,7 @@ namespace roleshare::orch {
 
 inline constexpr std::uint32_t kWireMagic =
     util::framed::magic4('R', 'S', 'O', 'W');
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 /// Hard ceiling on one message's frame bytes. HELLO carries a config
 /// echo and FAIL an error string; neither approaches this. A length
 /// prefix above it is treated as stream corruption, not a request to
@@ -95,6 +100,7 @@ struct Message {
   std::uint64_t run_end = 0;
   std::string spool_path;   // also echoed by DONE
   std::string resume_path;  // empty = fresh start
+  std::uint32_t lease_ms = 0;  // 0 = no lease
   // PROGRESS
   std::uint64_t cursor = 0;
   // DONE
@@ -110,7 +116,8 @@ struct Message {
 Message hello(std::uint32_t worker_id, std::string config_echo);
 Message assign(std::uint32_t window_index, std::uint32_t attempt,
                std::uint64_t run_begin, std::uint64_t run_end,
-               std::string spool_path, std::string resume_path);
+               std::string spool_path, std::string resume_path,
+               std::uint32_t lease_ms = 0);
 Message progress(std::uint32_t window_index, std::uint32_t attempt,
                  std::uint64_t cursor);
 Message done(std::uint32_t window_index, std::uint32_t attempt,

@@ -4,9 +4,14 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "orch/spawn.hpp"
 #include "orch/wire.hpp"
@@ -37,6 +42,49 @@ std::optional<Message> read_message(int fd, MessageBuffer& buffer) {
   }
 }
 
+/// Heartbeats per lease: a window that runs between checkpoints longer
+/// than the lease still renews it several times before it could expire.
+constexpr std::uint32_t kHeartbeatsPerLease = 4;
+
+/// Calls `beat` every `interval` on its own thread until destroyed.
+/// A beat that throws (the coordinator is gone) ends the heartbeat; the
+/// agent loop sees the closed socket on its next read or send.
+class Heartbeat {
+ public:
+  Heartbeat(std::chrono::milliseconds interval, std::function<void()> beat) {
+    if (interval.count() <= 0) return;
+    thread_ = std::thread([this, interval, beat = std::move(beat)] {
+      std::unique_lock<std::mutex> lock(mutex_);
+      while (!stop_.wait_for(lock, interval, [this] { return stopping_; })) {
+        lock.unlock();
+        try {
+          beat();
+        } catch (const std::exception&) {
+          return;
+        }
+        lock.lock();
+      }
+    });
+  }
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
+  ~Heartbeat() {
+    if (!thread_.joinable()) return;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    stop_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable stop_;
+  bool stopping_ = false;
+  std::thread thread_;
+};
+
 }  // namespace
 
 int run_worker(const WorkerOptions& options, const WindowRunner& runner) {
@@ -46,7 +94,14 @@ int run_worker(const WorkerOptions& options, const WindowRunner& runner) {
   ::signal(SIGPIPE, SIG_IGN);
   const int fd = connect_unix(options.socket_path);
   MessageBuffer buffer("coordinator");
-  send_message(fd, hello(options.worker_id, runner.config_echo));
+  // The heartbeat thread and the agent loop share the socket; one
+  // message at a time keeps their frames from interleaving.
+  std::mutex send_mutex;
+  const auto send = [&](const Message& message) {
+    std::lock_guard<std::mutex> lock(send_mutex);
+    send_message(fd, message);
+  };
+  send(hello(options.worker_id, runner.config_echo));
 
   std::size_t executed_total = 0;
   std::size_t drops_left = options.drop_assignments;
@@ -103,16 +158,22 @@ int run_worker(const WorkerOptions& options, const WindowRunner& runner) {
     }
 
     const auto on_checkpoint = [&](std::size_t cursor) {
-      send_message(fd, progress(assignment.window_index, assignment.attempt,
-                                static_cast<std::uint64_t>(cursor)));
+      send(progress(assignment.window_index, assignment.attempt,
+                    static_cast<std::uint64_t>(cursor)));
     };
 
     WindowOutcome outcome;
     try {
+      // A window with few or no checkpoints must not lose its lease
+      // while it is still running.
+      const Heartbeat heartbeat(
+          std::chrono::milliseconds(msg->lease_ms / kHeartbeatsPerLease),
+          [&] {
+            send(progress(assignment.window_index, assignment.attempt, 0));
+          });
       outcome = runner.run(assignment, stop_after, on_checkpoint);
     } catch (const std::exception& e) {
-      send_message(fd, fail(assignment.window_index, assignment.attempt,
-                            e.what()));
+      send(fail(assignment.window_index, assignment.attempt, e.what()));
       continue;
     }
     executed_total += outcome.executed;
@@ -133,16 +194,14 @@ int run_worker(const WorkerOptions& options, const WindowRunner& runner) {
     if (!outcome.complete) {
       // Without a kill budget the runner must finish its window; a
       // short outcome means the bench wiring is wrong.
-      send_message(fd, fail(assignment.window_index, assignment.attempt,
-                            "runner stopped at run " +
-                                std::to_string(outcome.cursor) +
-                                " without finishing the window"));
+      send(fail(assignment.window_index, assignment.attempt,
+                "runner stopped at run " + std::to_string(outcome.cursor) +
+                    " without finishing the window"));
       continue;
     }
-    send_message(fd, done(assignment.window_index, assignment.attempt,
-                          outcome.store_hit,
-                          static_cast<std::uint64_t>(outcome.partial_bytes),
-                          assignment.spool_path));
+    send(done(assignment.window_index, assignment.attempt, outcome.store_hit,
+              static_cast<std::uint64_t>(outcome.partial_bytes),
+              assignment.spool_path));
   }
 }
 

@@ -5,7 +5,10 @@
 // window execution inherits the whole checkpoint/resume/store machinery:
 // checkpoints surface as PROGRESS messages, a finished window is spooled
 // (and store-published) before DONE is sent, and a re-issued window that
-// the store already holds is a cache hit, not a recompute.
+// the store already holds is a cache hit, not a recompute. While a
+// window runs, a heartbeat thread sends PROGRESS (cursor 0) several times
+// per lease, so a window that outlasts the lease between checkpoints is
+// not re-issued while it is still making progress.
 //
 // Deterministic fault injection lives HERE, as first-class tested code:
 //   kill_after_runs  N  -> the process _exit(9)s the moment it has

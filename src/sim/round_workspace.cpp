@@ -28,14 +28,14 @@ std::size_t RoundWorkspace::capacity_bytes() const {
   total += vec_bytes(proposer_labels) + vec_bytes(proposer_seeds);
   total += nested_bytes(proposal_arrivals);
   for (const net::GossipScratch& s : proposal_scratch)
-    total += vec_bytes(s.frontier);
+    total += vec_bytes(s.pool) + vec_bytes(s.heads) + vec_bytes(s.current);
   total += vec_bytes(best_idx);
   total += vec_bytes(step.committee.members) + vec_bytes(step.draws);
   total += vec_bytes(step.votes);
   total += vec_bytes(step.origin_labels) + vec_bytes(step.origin_seeds);
   total += nested_bytes(step.arrivals);
   for (const net::GossipScratch& s : step.scratch)
-    total += vec_bytes(s.frontier);
+    total += vec_bytes(s.pool) + vec_bytes(s.heads) + vec_bytes(s.current);
   total += vec_bytes(step.valid) + vec_bytes(step.counted);
   total += vec_bytes(step.counted_rows);
   total += vec_bytes(step.counted_weight) + vec_bytes(step.counted_value_id);

@@ -36,7 +36,7 @@ std::vector<Message> sample_messages() {
   return {
       roleshare::orch::hello(7, "{\"bench\":\"fig6\",\"nodes\":3000}"),
       roleshare::orch::assign(3, 2, 12, 18, "sp/w3.a2.partial",
-                              "sp/w3.a1.partial"),
+                              "sp/w3.a1.partial", 800),
       roleshare::orch::progress(3, 2, 15),
       roleshare::orch::done(3, 2, true, 4096, "sp/w3.a2.partial"),
       roleshare::orch::fail(3, 2, "precondition failed: S_K > 0"),
@@ -69,6 +69,7 @@ void expect_equal(const Message& a, const Message& b) {
       EXPECT_EQ(a.run_end, b.run_end);
       EXPECT_EQ(a.spool_path, b.spool_path);
       EXPECT_EQ(a.resume_path, b.resume_path);
+      EXPECT_EQ(a.lease_ms, b.lease_ms);
       break;
     case MsgType::Progress:
       EXPECT_EQ(a.window_index, b.window_index);

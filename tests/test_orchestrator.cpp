@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -92,6 +93,8 @@ struct Injection {
   /// injection the only attempt 2 in a job is the injected re-issue of
   /// an already-folded window, so this makes the re-execution FAIL.
   bool fail_reissued = false;
+  /// Every attempt sleeps this long before running, with no checkpoint.
+  unsigned stall_ms = 0;
   std::string store_dir;
 };
 
@@ -120,6 +123,7 @@ roleshare::orch::SpawnWorkerFn make_spawner(const std::string& socket_path,
               const std::function<void(std::size_t)>& on_checkpoint) {
             if (injection.fail_reissued && assignment.attempt >= 2)
               throw std::runtime_error("injected re-execution failure");
+            ::usleep(injection.stall_ms * 1000);
             ShardKnobs knobs;
             knobs.runs = mine.runs;
             knobs.shard = roleshare::sim::RunShard{assignment.run_begin,
@@ -281,11 +285,14 @@ TEST(Orchestrator, StragglerDeathDoesNotStealTheReissuedLease) {
                          // it must not be masked by an attempt-cap abort
   job.socket_path = socket_path;
   job.spool_dir = dir;
+  // Worker 1 connects only once the straggler holds the lease, so the
+  // order does not depend on how fast the two children start.
+  const std::string leased_marker = dir + "/straggler_leased";
   const roleshare::orch::SpawnWorkerFn spawn = [&](std::uint32_t worker_id) {
     if (worker_id == 0) {
       // The scripted straggler: HELLO, take the ASSIGN, stall past the
       // lease, late-checkpoint the superseded attempt, die without DONE.
-      return roleshare::orch::spawn_child([socket_path]() {
+      return roleshare::orch::spawn_child([socket_path, leased_marker]() {
         ShardableBench mine = small_fig3();
         const int fd = roleshare::orch::connect_unix(socket_path);
         roleshare::orch::MessageBuffer buffer("coordinator");
@@ -293,6 +300,7 @@ TEST(Orchestrator, StragglerDeathDoesNotStealTheReissuedLease) {
             fd, roleshare::orch::hello(0, mine.config_echo));
         const roleshare::orch::Message assignment = read_one(fd, buffer);
         if (assignment.type != roleshare::orch::MsgType::Assign) return 1;
+        std::ofstream(leased_marker).put('1');
         ::usleep(1200 * 1000);  // lease expired ~0.4s ago; re-issued
         try {
           roleshare::orch::send_message(
@@ -309,8 +317,10 @@ TEST(Orchestrator, StragglerDeathDoesNotStealTheReissuedLease) {
     // Worker 1 (and any respawn): a real runner that connects after the
     // straggler holds the lease, heartbeats its own attempt through a
     // long startup, and finishes only after the straggler's EOF landed.
-    return roleshare::orch::spawn_child([socket_path, worker_id]() {
-      ::usleep(100 * 1000);
+    return roleshare::orch::spawn_child([socket_path, leased_marker,
+                                         worker_id]() {
+      for (int i = 0; i < 6000 && !std::ifstream(leased_marker); ++i)
+        ::usleep(10 * 1000);
       ShardableBench mine = small_fig3();
       roleshare::orch::WorkerOptions options;
       options.socket_path = socket_path;
@@ -372,6 +382,25 @@ TEST(Orchestrator, DroppedAssignmentExpiresLeaseAndReissues) {
       run_job(dir, dir + "/orch_series.json", job, injection);
   EXPECT_EQ(stats.folded, 2u);
   EXPECT_GE(stats.retries, 1u);
+  expect_byte_identical(dir, dir + "/orch_series.json");
+}
+
+TEST(Orchestrator, HeartbeatKeepsASlowWindowLeased) {
+  // Each window runs three leases long without a checkpoint. The worker's
+  // heartbeat must keep its lease alive: no window may be re-issued.
+  const std::string dir = make_scratch_dir();
+  Injection injection;
+  injection.stall_ms = 900;
+  roleshare::orch::JobConfig job;
+  job.window = 3;  // 6 runs -> 2 windows
+  job.workers = 2;
+  job.lease_seconds = 0.3;
+  const roleshare::orch::JobStats stats =
+      run_job(dir, dir + "/orch_series.json", job, injection);
+  EXPECT_EQ(stats.folded, 2u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.duplicate_results, 0u);
+  EXPECT_GE(stats.checkpoints, 2u);  // heartbeats
   expect_byte_identical(dir, dir + "/orch_series.json");
 }
 
