@@ -48,9 +48,11 @@ Cell run_cell(std::size_t nodes, std::size_t fan_out, double defection,
         if (threshold > 0) params.step_threshold = threshold;
 
         sim::RoundEngine engine(net, params);
+        sim::RoundWorkspace ws;
+        sim::RoundResult result;
         Cell partial;
         for (std::size_t r = 0; r < rounds; ++r) {
-          const sim::RoundResult result = engine.run_round();
+          engine.run_round_into(result, ws);
           partial.final_pct += result.final_fraction * 100;
           partial.none_pct += result.none_fraction * 100;
         }

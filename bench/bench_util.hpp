@@ -57,7 +57,7 @@ inline double arg_real(int argc, char** argv, const std::string& name,
 }
 
 /// Parses "--name=value" from argv as a string; returns fallback when
-/// absent (e.g. --agg=streaming, --partial-out=shard0.json).
+/// absent (e.g. --agg=streaming, --partial-out=shard0.partial).
 inline std::string arg_string(int argc, char** argv, const std::string& name,
                               const std::string& fallback) {
   const std::string prefix = "--" + name + "=";

@@ -23,7 +23,7 @@
 //                             accumulator state at O(rounds) memory.
 //   --run-begin=B --run-end=E execute only global runs [B, E) — one shard
 //                             of a multi-process sweep.
-//   --partial-out=FILE        write the shard's mergeable partial (JSON)
+//   --partial-out=FILE        write the shard's mergeable partial (RSBP)
 //                             instead of a figure; feed the files from
 //                             all shards to merge_partials.
 //   --checkpoint-every=R      rewrite the partial every R runs with a

@@ -2,9 +2,9 @@
 // back into the figure (the reduce step of the run-range sharding
 // workflow; see DESIGN.md "Accumulators & sharding").
 //
-//   $ ./fig3_defection --runs=8 --run-begin=0 --run-end=4 --partial-out=s0.json
-//   $ ./fig3_defection --runs=8 --run-begin=4 --run-end=8 --partial-out=s1.json
-//   $ ./merge_partials --series-out=merged.json s0.json s1.json
+//   $ ./fig3_defection --runs=8 --run-begin=0 --run-end=4 --partial-out=s0.partial
+//   $ ./fig3_defection --runs=8 --run-begin=4 --run-end=8 --partial-out=s1.partial
+//   $ ./merge_partials --series-out=merged.json s0.partial s1.partial
 //
 // There is no merge logic here: the fold is the one in bench_drivers.hpp
 // that the orchestrate coordinator uses. The bench that wrote the shards
@@ -22,20 +22,15 @@
 // for byte). Streaming-backend partials merge within the documented
 // reservoir error bound instead.
 //
-// Shard files are read through sim::decode_partial_document, so JSON and
-// framed-binary shards (bench --format=bin) interoperate freely — the
-// format is auto-detected per file from its leading bytes and printed
-// with the byte size. --format={auto,json,bin} (default auto) makes an
-// explicit choice a *requirement* on every input: a pipeline that
-// intends binary shards fails loudly when a text one sneaks in. With
-// --store=DIR the merged full-range partial is additionally published
-// to the content-addressed sim::ResultStore, so a later bench run over
-// the whole window is a cache hit.
+// Shard files are RSBP frames read through sim::decode_partial_document;
+// anything else (an old JSON partial included) is refused naming the
+// file. With --store=DIR the merged full-range partial is additionally
+// published to the content-addressed sim::ResultStore, so a later bench
+// run over the whole window is a cache hit.
 //
 // Exit codes: 0 on success, 1 on malformed/incompatible/missing shards.
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,8 +58,6 @@ struct ShardFile {
 int main(int argc, char** argv) {
   const std::string series_out =
       bench::arg_string(argc, argv, "series-out", "MERGED_series.json");
-  const std::string format_arg =
-      bench::arg_string(argc, argv, "format", "auto");
   const std::string store_dir = bench::arg_string(argc, argv, "store", "");
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
@@ -75,37 +68,17 @@ int main(int argc, char** argv) {
   bench::print_header("merge_partials", "fold shard partials into a figure");
   if (paths.size() < 2) {
     std::fprintf(stderr,
-                 "usage: merge_partials [--series-out=FILE] "
-                 "[--format={auto,json,bin}] [--store=DIR] "
+                 "usage: merge_partials [--series-out=FILE] [--store=DIR] "
                  "shard0 shard1 ...\n"
-                 "(need at least two shard partial files; shard formats "
-                 "auto-detect unless --format pins one)\n");
+                 "(need at least two shard partial files)\n");
     return 1;
   }
 
   try {
-    // --format=auto accepts any mix; an explicit choice is a requirement
-    // on every input file. The store publication (if any) reuses the
-    // pinned format, defaulting to the compact binary form under auto.
-    std::optional<sim::PartialFormat> required_format;
-    if (format_arg != "auto")
-      required_format = sim::parse_partial_format(format_arg);
-    const sim::PartialFormat publish_format =
-        required_format.value_or(sim::PartialFormat::Binary);
-
     std::vector<ShardFile> files;
     for (const std::string& path : paths) {
       std::string bytes = bench::read_text_file(path);
-      const sim::PartialFormat format =
-          sim::detect_partial_format(bytes, path);
-      if (required_format && format != *required_format) {
-        throw std::invalid_argument(
-            "shard " + path + " is " + sim::to_string(format) +
-            " but --format=" + format_arg + " requires every shard to be " +
-            sim::to_string(*required_format));
-      }
-      std::printf("[shard] %s: %zu bytes, %s\n", path.c_str(), bytes.size(),
-                  sim::to_string(format));
+      std::printf("[shard] %s: %zu bytes\n", path.c_str(), bytes.size());
       util::json::Value doc = sim::decode_partial_document(bytes, path);
       files.push_back({path, std::move(bytes), std::move(doc)});
     }
@@ -149,16 +122,15 @@ int main(int argc, char** argv) {
                      "shard " + file.path);
 
     if (!store_dir.empty()) {
-      const std::string bytes = sim::partial_codec(publish_format)
-                                    .encode(shardable.folded_document());
+      const std::string bytes =
+          sim::encode_partial_document(shardable.folded_document());
       const std::string path = sim::ResultStore(store_dir).insert(
           bench::store_key_of(util::json::parse(shardable.config_echo), 0,
                               runs_total),
           bytes);
-      std::printf("[store] published merged runs [0, %zu) to %s (%zu bytes, "
-                  "%s)\n",
-                  runs_total, path.c_str(), bytes.size(),
-                  sim::to_string(publish_format));
+      std::printf("[store] published merged runs [0, %zu) to %s (%zu "
+                  "bytes)\n",
+                  runs_total, path.c_str(), bytes.size());
     }
 
     shardable.write_series(series_out);

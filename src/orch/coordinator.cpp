@@ -125,6 +125,7 @@ class Job {
     const std::uint32_t id = next_worker_id_++;
     const pid_t pid = spawn_worker_(id);
     children_[pid] = true;
+    pid_of_[id] = pid;
     live_workers_++;
     if (is_respawn) {
       stats_.respawns++;
@@ -394,20 +395,43 @@ class Job {
               "worker " + std::to_string(conn.worker_id) +
                   " disconnected mid-window");
     }
+    if (conn.helloed) await_exit(conn.worker_id);
+  }
+
+  /// Accounts for a reaped worker: a non-zero exit is a death.
+  void note_exit(pid_t pid, int status) {
+    children_[pid] = false;
+    live_workers_--;
+    if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
+      stats_.worker_deaths++;
+      std::printf("[orch] worker pid %d died (%s)\n", static_cast<int>(pid),
+                  describe_exit(status).c_str());
+    }
+  }
+
+  /// Waits (bounded) for a worker whose socket closed to exit, and reaps
+  /// it. A worker closes its socket only on its way out; reaping it here
+  /// counts the death, and lets reap_children spawn the replacement,
+  /// before the job can complete. Polling alone misses a worker that
+  /// dies just before the last window finishes: its zombie can appear
+  /// after the final poll. A worker still running at the deadline is
+  /// left to reap_children.
+  void await_exit(std::uint32_t worker_id) {
+    const auto it = pid_of_.find(worker_id);
+    if (it == pid_of_.end() || !children_[it->second]) return;
+    const double deadline = now_seconds() + 5.0;
+    int status = 0;
+    while (!try_reap(it->second, status)) {
+      if (now_seconds() > deadline) return;
+      ::usleep(1000);
+    }
+    note_exit(it->second, status);
   }
 
   void reap_children() {
-    for (auto& [pid, alive] : children_) {
-      if (!alive) continue;
+    for (const auto& [pid, alive] : children_) {
       int status = 0;
-      if (!try_reap(pid, status)) continue;
-      alive = false;
-      live_workers_--;
-      if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
-        stats_.worker_deaths++;
-        std::printf("[orch] worker pid %d died (%s)\n",
-                    static_cast<int>(pid), describe_exit(status).c_str());
-      }
+      if (alive && try_reap(pid, status)) note_exit(pid, status);
     }
     // Keep the fleet at strength while work remains. The cap bounds a
     // pathological crash loop (a worker that dies at startup forever).
@@ -550,6 +574,7 @@ class Job {
   std::vector<Window> windows_;
   std::vector<Conn> conns_;
   std::map<pid_t, bool> children_;  // pid -> still live
+  std::map<std::uint32_t, pid_t> pid_of_;  // worker id -> pid
   std::vector<std::size_t> reissue_queue_;
   std::size_t outstanding_reissues_ = 0;
   bool reissue_armed_ = false;

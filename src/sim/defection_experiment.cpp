@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "sim/round_engine.hpp"
 #include "util/require.hpp"
@@ -57,11 +58,15 @@ DefectionRun execute_run(const DefectionExperimentConfig& config,
 
   DefectionRun run;
   run.rounds.reserve(config.rounds);
+  // One workspace for the whole run; `result` and `last` swap so the
+  // policy reads the previous round while this one is rebuilt in place.
+  RoundWorkspace ws;
+  RoundResult result;
   RoundResult last;
   for (std::size_t r = 0; r < config.rounds; ++r) {
     if (policy)
       policy->begin_round(r, r > 0 ? &last : nullptr, engine.executor());
-    RoundResult result = engine.run_round();
+    engine.run_round_into(result, ws);
     std::size_t coop = 0;
     const auto& strategies = network.strategies();
     for (std::size_t v = 0; v < strategies.size(); ++v) {
@@ -76,7 +81,7 @@ DefectionRun execute_run(const DefectionExperimentConfig& config,
                           100.0 * static_cast<double>(coop) /
                               static_cast<double>(result.live_count)});
     run.progress = run.progress || result.non_empty_block;
-    last = std::move(result);
+    std::swap(last, result);
   }
   return run;
 }

@@ -31,9 +31,8 @@
 //
 // Serialization: envelope, ScalarBank and every payload build one
 // deterministic util::json value tree (to_json/from_json below); the
-// bytes on disk come from a sim::PartialCodec (partial_codec.hpp) —
-// JSON text or the framed binary columnar format, interchangeably and
-// bit-identically. Finished windows are additionally cacheable by
+// bytes on disk are its RSBP frame (partial_codec.hpp), which decodes
+// to the same document bit for bit. Finished windows are additionally cacheable by
 // content address in a sim::ResultStore keyed on the spec hash
 // (result_store.hpp).
 #pragma once

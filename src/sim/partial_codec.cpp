@@ -117,9 +117,8 @@ Value decode_tree(framed::Reader& r,
                   const std::vector<std::vector<double>>& columns,
                   std::size_t depth) {
   if (depth > kMaxDepth) {
-    throw framed::Error(
-        "binary partial document nests containers deeper than " +
-        std::to_string(kMaxDepth) + " — refusing the frame");
+    r.fail("binary partial document nests containers deeper than " +
+           std::to_string(kMaxDepth) + " — refusing the frame");
   }
   const std::uint8_t tag = r.get_u8();
   switch (tag) {
@@ -152,139 +151,58 @@ Value decode_tree(framed::Reader& r,
     case kColumnRef: {
       const std::uint32_t index = r.get_u32();
       if (index >= columns.size()) {
-        throw framed::Error(
-            "binary partial document references column " +
-            std::to_string(index) + " but the frame carries only " +
-            std::to_string(columns.size()) + " columns");
+        r.fail("binary partial document references column " +
+               std::to_string(index) + " but the frame carries only " +
+               std::to_string(columns.size()) + " columns");
       }
       Value out = Value::array();
       for (const double x : columns[index]) out.push_back(x);
       return out;
     }
     default:
-      throw framed::Error("binary partial document has unknown value tag " +
-                          std::to_string(tag) +
-                          " — produced by a newer build?");
+      r.fail("binary partial document has unknown value tag " +
+             std::to_string(tag) + " — produced by a newer build?");
   }
 }
-
-class JsonCodec final : public PartialCodec {
- public:
-  PartialFormat format() const override { return PartialFormat::Json; }
-
-  std::string encode(const Value& doc) const override {
-    return doc.dump() + "\n";
-  }
-
-  Value decode(std::string_view bytes,
-               std::string_view origin) const override {
-    try {
-      return util::json::parse(bytes);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(std::string(origin) + ": " + e.what());
-    }
-  }
-};
-
-class BinaryCodec final : public PartialCodec {
- public:
-  PartialFormat format() const override { return PartialFormat::Binary; }
-
-  std::string encode(const Value& doc) const override {
-    // Columns go first so the reader resolves references in file order;
-    // the second walk assigns indices in the same DFS order the first
-    // walk hoisted them.
-    std::vector<std::vector<double>> columns;
-    collect_columns(doc, columns);
-
-    framed::Writer w(kBinaryMagic, kBinaryVersion);
-    w.begin_section("columns");
-    w.put_u32(static_cast<std::uint32_t>(columns.size()));
-    for (const std::vector<double>& column : columns)
-      w.put_f64_column(column);
-    w.end_section();
-    w.begin_section("tree");
-    std::size_t column_cursor = 0;
-    encode_tree(doc, w, column_cursor);
-    RS_REQUIRE(column_cursor == columns.size(),
-               "partial_codec: column passes disagree — encoder bug");
-    w.end_section();
-    return w.finish();
-  }
-
-  Value decode(std::string_view bytes,
-               std::string_view origin) const override {
-    framed::Reader r(bytes, kBinaryMagic, kBinaryVersion,
-                     std::string(origin));
-    r.begin_section("columns");
-    const std::uint32_t column_count = r.get_u32();
-    std::vector<std::vector<double>> columns;
-    columns.reserve(column_count);
-    for (std::uint32_t i = 0; i < column_count; ++i)
-      columns.push_back(r.get_f64_column());
-    r.end_section();
-    r.begin_section("tree");
-    Value doc = decode_tree(r, columns, 0);
-    r.end_section();
-    r.finish();
-    return doc;
-  }
-};
-
-const JsonCodec kJsonCodec;
-const BinaryCodec kBinaryCodec;
 
 }  // namespace
 
-const char* to_string(PartialFormat format) {
-  switch (format) {
-    case PartialFormat::Json:
-      return "json";
-    case PartialFormat::Binary:
-      return "bin";
-  }
-  throw std::invalid_argument("unknown PartialFormat value " +
-                              std::to_string(static_cast<int>(format)));
+std::string encode_partial_document(const Value& doc) {
+  // Columns go first so the reader resolves references in file order;
+  // the second walk assigns indices in the same DFS order the first
+  // walk hoisted them.
+  std::vector<std::vector<double>> columns;
+  collect_columns(doc, columns);
+
+  framed::Writer w(kBinaryMagic, kBinaryVersion);
+  w.begin_section("columns");
+  w.put_u32(static_cast<std::uint32_t>(columns.size()));
+  for (const std::vector<double>& column : columns) w.put_f64_column(column);
+  w.end_section();
+  w.begin_section("tree");
+  std::size_t column_cursor = 0;
+  encode_tree(doc, w, column_cursor);
+  RS_REQUIRE(column_cursor == columns.size(),
+             "partial_codec: column passes disagree — encoder bug");
+  w.end_section();
+  return w.finish();
 }
 
-PartialFormat parse_partial_format(std::string_view name) {
-  if (name == "json") return PartialFormat::Json;
-  if (name == "bin" || name == "binary") return PartialFormat::Binary;
-  throw std::invalid_argument("unknown partial format \"" +
-                              std::string(name) +
-                              "\" (expected \"json\" or \"bin\")");
-}
-
-const PartialCodec& partial_codec(PartialFormat format) {
-  switch (format) {
-    case PartialFormat::Json:
-      return kJsonCodec;
-    case PartialFormat::Binary:
-      return kBinaryCodec;
-  }
-  throw std::invalid_argument("unknown PartialFormat value " +
-                              std::to_string(static_cast<int>(format)));
-}
-
-PartialFormat detect_partial_format(std::string_view bytes,
-                                    std::string_view origin) {
-  if (framed::starts_with_magic(bytes, kBinaryMagic))
-    return PartialFormat::Binary;
-  for (const char c : bytes) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') continue;
-    if (c == '{' || c == '[') return PartialFormat::Json;
-    break;
-  }
-  throw std::invalid_argument(
-      std::string(origin) +
-      ": neither a binary partial frame (magic \"RSBP\") nor a JSON "
-      "document — unrecognized format");
-}
-
-util::json::Value decode_partial_document(std::string_view bytes,
-                                          std::string_view origin) {
-  const PartialFormat format = detect_partial_format(bytes, origin);
-  return partial_codec(format).decode(bytes, origin);
+Value decode_partial_document(std::string_view bytes,
+                              std::string_view origin) {
+  framed::Reader r(bytes, kBinaryMagic, kBinaryVersion, std::string(origin));
+  r.begin_section("columns");
+  const std::uint32_t column_count = r.get_u32();
+  std::vector<std::vector<double>> columns;
+  columns.reserve(column_count);
+  for (std::uint32_t i = 0; i < column_count; ++i)
+    columns.push_back(r.get_f64_column());
+  r.end_section();
+  r.begin_section("tree");
+  Value doc = decode_tree(r, columns, 0);
+  r.end_section();
+  r.finish();
+  return doc;
 }
 
 }  // namespace roleshare::sim

@@ -1,35 +1,25 @@
-// PartialCodec — the serialization seam of the shard-partial workflow
+// The partial codec — the one on-disk encoding of a shard partial
 // (DESIGN.md §9).
 //
 // Everything the sharded figures persist — the PartialEnvelope, the
 // ScalarBanks, all three experiment payloads (defection / reward /
 // strategic) and the bench-level shard documents that wrap them — is
 // built on the deterministic util::json value tree (insertion-ordered
-// members, %.17g doubles). A PartialCodec turns one such document into
-// bytes and back:
-//
-//   JsonCodec    the historical format: doc.dump() + "\n". Text,
-//                greppable, ~20 bytes per double.
-//   BinaryCodec  a framed columnar encoding (util/framed_io): magic
-//                "RSBP" + version, a "columns" section holding every
-//                all-finite numeric array as a raw f64 column, and a
-//                "tree" section with the tagged structure referencing
-//                the columns by index. ~8 bytes per sample — the format
-//                that makes 10k-run exact-mode shards practical.
+// members, %.17g doubles). A partial file is that document as an RSBP
+// frame (util/framed_io): magic "RSBP" + version, a "columns" section
+// holding every all-finite numeric array as a raw f64 column, and a
+// "tree" section with the tagged structure referencing the columns by
+// index — ~8 bytes per sample. `dump_partial FILE...` prints a partial
+// as JSON text; series snapshots and config echoes stay JSON.
 //
 // The codec contract, enforced by tests/prop/prop_partial_codec.cpp:
 // for every document D, decode(encode(D)) dumps byte-identically to
-// parse(D.dump()) — i.e. the binary path is indistinguishable from the
-// JSON path to every consumer (finalize, merge, byte-diff CI). Malformed
-// binary input — truncation at any byte, trailing bytes, corrupt
-// sections, unknown tags, out-of-range column references — throws
-// util::framed::Error naming the origin and offset; it never yields a
-// wrong document silently.
-//
-// Format detection (detect_partial_format) is by leading bytes: the
-// binary magic wins, otherwise the first non-whitespace byte must open a
-// JSON document. merge_partials and --partial-in resume reads always
-// auto-detect, so shards of mixed formats interoperate.
+// parse(D.dump()) — every consumer (finalize, merge, byte-diff CI) sees
+// the canonical JSON document. Malformed input — JSON text or any other
+// bytes that do not open an RSBP frame, truncation at any byte,
+// trailing bytes, corrupt sections, unknown tags, out-of-range column
+// references — throws util::framed::Error naming the origin and offset;
+// it never yields a wrong document silently.
 #pragma once
 
 #include <cstdint>
@@ -40,54 +30,31 @@
 
 namespace roleshare::sim {
 
-enum class PartialFormat : std::uint8_t { Json, Binary };
+/// Serializes one shard-partial document as an RSBP frame.
+std::string encode_partial_document(const util::json::Value& doc);
 
-/// "json" / "bin" — the --format knob vocabulary and the BENCH_*.json
-/// tag. Both directions fail loudly on unknown input.
-const char* to_string(PartialFormat format);
-PartialFormat parse_partial_format(std::string_view name);
-
-class PartialCodec {
- public:
-  virtual ~PartialCodec() = default;
-
-  virtual PartialFormat format() const = 0;
-
-  /// Serializes one shard-partial document.
-  virtual std::string encode(const util::json::Value& doc) const = 0;
-
-  /// Inverts encode. `origin` names the byte source (a file path) in
-  /// every error. Throws util::framed::Error (binary) or
-  /// std::invalid_argument (JSON) on malformed input.
-  virtual util::json::Value decode(std::string_view bytes,
-                                   std::string_view origin) const = 0;
-};
-
-/// The process-wide codec instances (stateless).
-const PartialCodec& partial_codec(PartialFormat format);
-
-/// Sniffs the format from the leading bytes; throws std::invalid_argument
-/// naming `origin` when the bytes open neither a binary frame nor a JSON
-/// document.
-PartialFormat detect_partial_format(std::string_view bytes,
-                                    std::string_view origin);
-
-/// detect + decode — the universal read path (--partial-in, the
-/// merge_partials shard arguments, result-store payloads).
+/// Inverts encode_partial_document — the read path of --partial-in, the
+/// merge_partials shard arguments, result-store payloads and
+/// dump_partial. `origin` names the byte source (a file path) in every
+/// error.
 util::json::Value decode_partial_document(std::string_view bytes,
                                           std::string_view origin);
 
-/// Encodes an ExperimentPartial (or anything with to_json) directly.
-template <typename PartialT>
-std::string encode_partial(const PartialT& partial, PartialFormat format) {
-  return partial_codec(format).encode(partial.to_json());
-}
+// Kept only because the benchmark harness (perfbench/) names them;
+// nothing else may use them. Remove at the next benchmark change
+// (ROADMAP item 4).
+enum class PartialFormat : std::uint8_t { Binary };
 
-/// Decodes an ExperimentPartial of either format; the payload's
-/// cross-kind guard still applies.
-template <typename PartialT>
-PartialT decode_partial(std::string_view bytes, std::string_view origin) {
-  return PartialT::from_json(decode_partial_document(bytes, origin));
+class PartialCodec {
+ public:
+  std::string encode(const util::json::Value& doc) const {
+    return encode_partial_document(doc);
+  }
+};
+
+inline const PartialCodec& partial_codec(PartialFormat) {
+  static const PartialCodec codec;
+  return codec;
 }
 
 }  // namespace roleshare::sim

@@ -189,10 +189,6 @@ RoundEngine::RoundEngine(Network& network, consensus::ConsensusParams params,
 
 RoundResult RoundEngine::run_round() {
   RoundWorkspace ws;
-  return run_round(ws);
-}
-
-RoundResult RoundEngine::run_round(RoundWorkspace& ws) {
   RoundResult result;
   run_round_into(result, ws);
   return result;

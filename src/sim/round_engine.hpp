@@ -75,11 +75,6 @@ class RoundEngine {
   /// per-node outcomes.
   RoundResult run_round();
 
-  /// Same, on caller-owned working memory: `ws` supplies every buffer the
-  /// round needs and keeps its capacity for the next call (see
-  /// round_workspace.hpp for the reuse contract).
-  RoundResult run_round(RoundWorkspace& ws);
-
   /// Fully recycled form — the round's working buffers come from `ws` and
   /// the outputs are rebuilt in place inside `result` (its vectors and
   /// role snapshots keep their capacity). In steady state this is the

@@ -42,6 +42,8 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
   // same seed see the same join/leave pattern.
   const util::Rng policy_root = scenario_policy_root(config.network.seed);
   std::vector<std::uint8_t> was_live(net.node_count(), 1);
+  RoundWorkspace ws;
+  RoundResult round;
 
   for (std::size_t t = 0; t < config.rounds; ++t) {
     if (config.churn.enabled()) {
@@ -57,7 +59,7 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
       }
     }
     net.set_strategies(profile);
-    const RoundResult round = engine.run_round();
+    engine.run_round_into(round, ws);
 
     StrategicRoundStats stats;
     stats.round = round.round;

@@ -278,9 +278,4 @@ std::string Reader::get_bytes(std::size_t n) {
   return std::string(take(n, "raw bytes"));
 }
 
-bool starts_with_magic(std::string_view data, std::uint32_t magic) {
-  return data.size() >= 4 &&
-         static_cast<std::uint32_t>(read_le(data.substr(0, 4))) == magic;
-}
-
 }  // namespace roleshare::util::framed

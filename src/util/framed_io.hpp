@@ -120,8 +120,11 @@ class Reader {
   /// Raw bytes of known length.
   std::string get_bytes(std::size_t n);
 
- private:
+  /// Throws Error naming the origin, section and byte offset — for the
+  /// checks a format layers on top of the frame grammar.
   [[noreturn]] void fail(const std::string& what) const;
+
+ private:
   std::string_view take(std::size_t n, const char* what);
 
   std::string_view data_;
@@ -132,10 +135,6 @@ class Reader {
   std::uint16_t version_ = 0;
   std::string origin_;
 };
-
-/// Cheap sniff: does `data` begin with this frame magic? (Format
-/// auto-detection; a positive answer still needs a full Reader pass.)
-bool starts_with_magic(std::string_view data, std::uint32_t magic);
 
 /// Builds a u32 magic from four ASCII bytes, first byte lowest —
 /// magic4('R','S','B','P') writes "RSBP" on disk.

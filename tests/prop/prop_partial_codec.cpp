@@ -1,6 +1,6 @@
-// Property suite: the binary partial codec is indistinguishable from
-// the JSON path over randomized document trees (the PartialCodec
-// contract, DESIGN.md §9), and malformed binary input never decodes
+// Property suite: the RSBP partial codec is indistinguishable from the
+// JSON path over randomized document trees (the partial codec contract,
+// DESIGN.md §9), and malformed binary input never decodes
 // silently — every truncated prefix and every appended trailing byte is
 // a named util::framed::Error.
 //
@@ -22,9 +22,7 @@
 namespace {
 
 using roleshare::sim::decode_partial_document;
-using roleshare::sim::detect_partial_format;
-using roleshare::sim::partial_codec;
-using roleshare::sim::PartialFormat;
+using roleshare::sim::encode_partial_document;
 using roleshare::util::json::Value;
 using roleshare::util::proptest::Verdict;
 
@@ -38,26 +36,19 @@ std::string canonical(const Value& v) {
 
 }  // namespace
 
-// decode(encode(D)) under the binary codec dumps byte-identically to
-// parse(D.dump()) — the bit-identity contract that lets the CI byte-diff
-// treat binary shards and JSON shards as the same artifact.
+// decode(encode(D)) dumps byte-identically to parse(D.dump()) — the
+// bit-identity contract that makes a partial's RSBP frame and its JSON
+// text the same document.
 PROP_TEST_WITH_PARAMS(PropPartialCodec, BinaryMatchesJsonPathExactly, 400) {
   prop.check(
       roleshare::testgen::json_value(3),
       [](const Value& v) {
         const std::string want = canonical(v);
-        const std::string bytes =
-            partial_codec(PartialFormat::Binary).encode(v);
         const Value back =
-            partial_codec(PartialFormat::Binary).decode(bytes, "prop");
+            decode_partial_document(encode_partial_document(v), "prop");
         if (back.dump() != want)
           return Verdict{false, "binary path diverged: " + back.dump() +
                                     " vs " + want};
-        // And the auto-detecting read path agrees.
-        if (detect_partial_format(bytes, "prop") != PartialFormat::Binary)
-          return Verdict{false, "binary frame not detected as binary"};
-        if (decode_partial_document(bytes, "prop").dump() != want)
-          return Verdict{false, "auto-detect decode diverged"};
         return Verdict{};
       },
       describe_value);
@@ -69,11 +60,11 @@ PROP_TEST_WITH_PARAMS(PropPartialCodec, BinaryEncodeIsAFixpoint, 300) {
   prop.check(
       roleshare::testgen::json_value(3),
       [](const Value& v) {
-        const auto& codec = partial_codec(PartialFormat::Binary);
-        const std::string bytes = codec.encode(v);
-        if (codec.encode(v) != bytes)
+        const std::string bytes = encode_partial_document(v);
+        if (encode_partial_document(v) != bytes)
           return Verdict{false, "encode is not deterministic"};
-        if (codec.encode(codec.decode(bytes, "prop")) != bytes)
+        if (encode_partial_document(decode_partial_document(bytes, "prop")) !=
+            bytes)
           return Verdict{false, "re-encode of decoded doc changed bytes"};
         return Verdict{};
       },
@@ -87,11 +78,10 @@ PROP_TEST_WITH_PARAMS(PropPartialCodec, EveryTruncatedPrefixIsRejected,
   prop.check(
       roleshare::testgen::json_value(2),
       [](const Value& v) {
-        const auto& codec = partial_codec(PartialFormat::Binary);
-        const std::string bytes = codec.encode(v);
+        const std::string bytes = encode_partial_document(v);
         for (std::size_t len = 0; len < bytes.size(); ++len) {
           try {
-            codec.decode(bytes.substr(0, len), "truncated");
+            decode_partial_document(bytes.substr(0, len), "truncated");
             return Verdict{false, "prefix of length " +
                                       std::to_string(len) + " of " +
                                       std::to_string(bytes.size()) +
@@ -111,11 +101,10 @@ PROP_TEST_WITH_PARAMS(PropPartialCodec, TrailingBytesAreRejected, 200) {
   prop.check(
       roleshare::testgen::json_value(2),
       [](const Value& v) {
-        const auto& codec = partial_codec(PartialFormat::Binary);
-        const std::string bytes = codec.encode(v);
+        const std::string bytes = encode_partial_document(v);
         for (const char extra : {'\0', '\n', 'x'}) {
           try {
-            codec.decode(bytes + extra, "trailing");
+            decode_partial_document(bytes + extra, "trailing");
             return Verdict{false,
                            std::string("trailing byte accepted: ") + extra};
           } catch (const roleshare::util::framed::Error& e) {

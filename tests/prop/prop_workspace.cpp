@@ -91,7 +91,7 @@ PROP_TEST_WITH_PARAMS(PropWorkspace, DirtyReuseIsBitIdentical, 8) {
         // Path 1: fresh allocations every round.
         Network net_fresh(config);
         RoundEngine engine_fresh(net_fresh, params_for(net_fresh));
-        // Path 2: caller-owned dirty workspace.
+        // Path 2: caller-owned dirty workspace, fresh result.
         Network net_ws(config);
         RoundEngine engine_ws(net_ws, params_for(net_ws));
         // Path 3: fully recycled result + workspace.
@@ -100,12 +100,13 @@ PROP_TEST_WITH_PARAMS(PropWorkspace, DirtyReuseIsBitIdentical, 8) {
 
         for (std::size_t r = 0; r < 2; ++r) {
           const RoundResult fresh = engine_fresh.run_round();
-          const RoundResult reused = engine_ws.run_round(ws);
+          RoundResult reused;
+          engine_ws.run_round_into(reused, ws);
           engine_into.run_round_into(recycled, ws);
 
           Verdict v = same_result(fresh, reused,
                                   "round " + std::to_string(r) +
-                                      " run_round(ws) vs fresh");
+                                      " dirty workspace vs fresh");
           if (!v.ok) return v;
           v = same_result(fresh, recycled,
                           "round " + std::to_string(r) +

@@ -117,80 +117,6 @@ TEST(BenchUtil, EmitJsonEscapesStringValues) {
             std::string::npos);
 }
 
-TEST(BenchUtil, AuditResumeFormatGuardsCheckpointFormatFlips) {
-  // A bin checkpoint resumed under the json default must NOT silently
-  // flip the chain back to json: the audit inherits the on-disk format
-  // when --format was defaulted, and refuses (naming both formats) when
-  // it was explicit. Detection only sniffs leading bytes, so a minimal
-  // document through the real codec is enough.
-  const std::string bin_path = "audit_fmt_bin.partial";
-  const std::string json_path = "audit_fmt_json.partial";
-  util::json::Value doc = util::json::Value::object();
-  doc.set("kind", "defection");
-  write_text_file(
-      bin_path, sim::partial_codec(sim::PartialFormat::Binary).encode(doc));
-  write_text_file(json_path, doc.dump() + "\n");
-
-  ShardKnobs knobs;
-  knobs.partial_in = bin_path;
-  knobs.partial_out = "audit_fmt_out.partial";
-  knobs.format = sim::PartialFormat::Json;  // the default
-  knobs.format_explicit = false;
-  audit_resume_format(knobs);
-  EXPECT_EQ(knobs.format, sim::PartialFormat::Binary);  // inherited
-
-  knobs.format = sim::PartialFormat::Json;
-  knobs.format_explicit = true;  // user demanded json over a bin file
-  try {
-    audit_resume_format(knobs);
-    FAIL() << "explicit --format mismatch must throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("json"), std::string::npos) << what;
-    EXPECT_NE(what.find("bin"), std::string::npos) << what;
-    EXPECT_NE(what.find(bin_path), std::string::npos) << what;
-  }
-
-  // Matching formats (either way) and an empty partial_in are no-ops.
-  knobs.partial_in = json_path;
-  knobs.format = sim::PartialFormat::Json;
-  audit_resume_format(knobs);
-  EXPECT_EQ(knobs.format, sim::PartialFormat::Json);
-  knobs.partial_in.clear();
-  knobs.format_explicit = true;
-  audit_resume_format(knobs);  // nothing to resume, nothing to audit
-
-  std::remove(bin_path.c_str());
-  std::remove(json_path.c_str());
-}
-
-TEST(BenchUtil, ArgShardKnobsWiresFormatAudit) {
-  // End-to-end through the argv surface the bench mains use: a json
-  // checkpoint with an explicit --format=bin fails at knob-parse time,
-  // before any run executes; with no --format the chain inherits json.
-  const std::string path = "audit_fmt_argv.partial";
-  util::json::Value doc = util::json::Value::object();
-  doc.set("kind", "defection");
-  write_text_file(path, doc.dump() + "\n");
-  const auto knobs_for = [&](std::vector<const char*> args) {
-    args.insert(args.begin(), "prog");
-    return arg_shard_knobs(static_cast<int>(args.size()),
-                           const_cast<char**>(args.data()), 8);
-  };
-  const std::string in_flag = "--partial-in=" + path;
-  EXPECT_THROW(
-      knobs_for({in_flag.c_str(), "--partial-out=o.partial", "--format=bin"}),
-      std::invalid_argument);
-  const ShardKnobs inherited =
-      knobs_for({in_flag.c_str(), "--partial-out=o.partial"});
-  EXPECT_EQ(inherited.format, sim::PartialFormat::Json);
-  EXPECT_FALSE(inherited.format_explicit);
-  const ShardKnobs explicit_json =
-      knobs_for({in_flag.c_str(), "--partial-out=o.partial", "--format=json"});
-  EXPECT_TRUE(explicit_json.format_explicit);
-  std::remove(path.c_str());
-}
-
 TEST(BenchUtil, ArgParsingReadsInnerThreads) {
   const char* argv_c[] = {"prog", "--threads=3", "--inner-threads=5"};
   char** argv = const_cast<char**>(argv_c);

@@ -5,11 +5,13 @@
 // document's own header echo. Under test: that round trip for every
 // registry bench, byte-identity of a two-window fold against one
 // in-process window, the refusals (another bench, an extra or altered
-// header field, an unfinished checkpoint), and that the fig_longhorizon
-// result-store key covers --alpha / --beta / --top-fraction.
+// header field, an unfinished checkpoint), that the fig_longhorizon
+// result-store key covers --alpha / --beta / --top-fraction, and that a
+// JSON-text store entry is a miss that the recomputed window replaces.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "bench_util.hpp"
 #include "shard_util.hpp"
 #include "sim/partial_codec.hpp"
+#include "sim/result_store.hpp"
 #include "util/json.hpp"
 
 namespace roleshare::bench {
@@ -62,21 +65,19 @@ class FoldPath : public ::testing::Test {
   template <typename PartialT>
   std::string run_window(const PanelDriver<PartialT>& driver,
                          std::size_t begin, std::size_t end,
-                         sim::PartialFormat format,
                          std::size_t stop_after = 0) {
     ShardKnobs knobs;
     knobs.runs = driver.runs;
     knobs.shard = sim::RunShard{begin, end};
     knobs.partial_out = path("window_" + std::to_string(begin) + "_" +
                              std::to_string(end) + ".partial");
-    knobs.format = format;
     knobs.stop_after = stop_after;
     run_sharded_panels<PartialT>(knobs, driver.panel_count, driver.header,
                                  driver.panel_meta, driver.run_panel);
     return read_text_file(knobs.partial_out);
   }
 
-  /// Folds two windows (one json, one binary) through the bench rebuilt
+  /// Folds two RSBP windows through the bench rebuilt
   /// from the first window's header and expects the series document of
   /// one in-process window over all runs, byte for byte.
   template <typename PartialT>
@@ -90,10 +91,8 @@ class FoldPath : public ::testing::Test {
     write_series(driver, exec.partials, 0, driver.runs, path("single.json"));
 
     const std::size_t split = driver.runs / 2;
-    const std::string first =
-        run_window(driver, 0, split, sim::PartialFormat::Json);
-    const std::string second =
-        run_window(driver, split, driver.runs, sim::PartialFormat::Binary);
+    const std::string first = run_window(driver, 0, split);
+    const std::string second = run_window(driver, split, driver.runs);
     ShardableBench folder =
         make_shardable_bench(sim::decode_partial_document(first, "first"));
     folder.fold(first, 0, split, "first");
@@ -125,7 +124,7 @@ std::string with_header_field(const std::string& bytes,
   for (const auto& [k, v] : doc.as_object())
     edited.set(k, k == key ? value : v);
   if (doc.find(key) == nullptr) edited.set(key, std::move(value));
-  return sim::partial_codec(sim::PartialFormat::Json).encode(edited);
+  return sim::encode_partial_document(edited);
 }
 
 TEST_F(FoldPath, HeaderEchoRebuildsEveryRegistryBench) {
@@ -191,10 +190,8 @@ TEST_F(FoldPath, RefusesAShardFromAnotherBench) {
   Argv argv({"--nodes=40", "--runs=4", "--rounds=2"});
   const auto fig3 = make_fig3_driver(argv.argc(), argv.argv()).panels;
   const auto sweep = make_scenario_driver(argv.argc(), argv.argv()).panels;
-  const std::string fig3_bytes =
-      run_window(fig3, 0, 2, sim::PartialFormat::Json);
-  const std::string sweep_bytes =
-      run_window(sweep, 0, 2, sim::PartialFormat::Binary);
+  const std::string fig3_bytes = run_window(fig3, 0, 2);
+  const std::string sweep_bytes = run_window(sweep, 0, 2);
 
   // Both are "defection" partials; the header tells them apart.
   ShardableBench fig3_folder =
@@ -211,7 +208,7 @@ TEST_F(FoldPath, RefusesAShardFromAnotherBench) {
 TEST_F(FoldPath, RefusesAnExtraOrAlteredHeaderField) {
   Argv argv({"--nodes=40", "--runs=4", "--rounds=2"});
   const auto fig3 = make_fig3_driver(argv.argc(), argv.argv()).panels;
-  const std::string bytes = run_window(fig3, 0, 2, sim::PartialFormat::Json);
+  const std::string bytes = run_window(fig3, 0, 2);
   ShardableBench clean =
       make_shardable_bench(sim::decode_partial_document(bytes, "clean"));
 
@@ -242,7 +239,7 @@ TEST_F(FoldPath, RefusesAnExtraOrAlteredHeaderField) {
 TEST_F(FoldPath, RefusesAChangedPanelLayout) {
   Argv argv({"--nodes=40", "--runs=4", "--rounds=2"});
   const auto fig3 = make_fig3_driver(argv.argc(), argv.argv()).panels;
-  const std::string bytes = run_window(fig3, 0, 2, sim::PartialFormat::Json);
+  const std::string bytes = run_window(fig3, 0, 2);
   Value doc = sim::decode_partial_document(bytes, "doc");
   Value panels = Value::array();
   for (const Value& panel : doc.at("panels").as_array()) {
@@ -256,9 +253,7 @@ TEST_F(FoldPath, RefusesAChangedPanelLayout) {
     edited.set(k, k == "panels" ? panels : v);
   ShardableBench folder = make_shardable_bench(doc);
   EXPECT_NE(
-      fold_refusal(folder,
-                   sim::partial_codec(sim::PartialFormat::Json).encode(edited),
-                   0, 2)
+      fold_refusal(folder, sim::encode_partial_document(edited), 0, 2)
           .find("panel layout"),
       std::string::npos);
 }
@@ -267,7 +262,7 @@ TEST_F(FoldPath, RefusesAnUnfinishedCheckpoint) {
   Argv argv({"--nodes=40", "--runs=4", "--rounds=2"});
   const auto fig3 = make_fig3_driver(argv.argc(), argv.argv()).panels;
   const std::string unfinished =
-      run_window(fig3, 0, 0, sim::PartialFormat::Binary, /*stop_after=*/2);
+      run_window(fig3, 0, 0, /*stop_after=*/2);
   const Value doc = sim::decode_partial_document(unfinished, "unfinished");
   ASSERT_EQ(doc.at("run_end").as_size(), 2u);
   ASSERT_EQ(doc.at("window_end").as_size(), 4u);
@@ -314,6 +309,32 @@ TEST_F(LongHorizonStore, AnotherAlphaIsAStoreMiss) {
   EXPECT_FALSE(run(b).store_hit);  // the alpha=0.3 entry must not serve it
   EXPECT_TRUE(run(a).store_hit);
   EXPECT_TRUE(run(b).store_hit);
+}
+
+using ShardStore = FoldPath;
+
+TEST_F(ShardStore, JsonTextEntryIsAMissAndIsReplacedByRsbp) {
+  // A store entry published before partials were RSBP-only holds JSON
+  // text. It must cost a recompute, not a failed run, and the recomputed
+  // window must overwrite it with the RSBP frame.
+  Argv argv({"--nodes=40", "--runs=4", "--rounds=2"});
+  const auto fig3 = make_fig3_driver(argv.argc(), argv.argv()).panels;
+  const std::string rsbp = run_window(fig3, 0, 0);
+  const sim::ResultKey key = store_key_of(fig3.header, 0, fig3.runs);
+  sim::ResultStore store(path("store"));
+  store.insert(key, sim::decode_partial_document(rsbp, "rsbp").dump() + "\n");
+
+  ShardKnobs knobs;
+  knobs.runs = fig3.runs;
+  knobs.store_dir = path("store");
+  const auto run = [&] {
+    return run_sharded_panels<sim::DefectionPartial>(
+        knobs, fig3.panel_count, fig3.header, fig3.panel_meta,
+        fig3.run_panel);
+  };
+  EXPECT_FALSE(run().store_hit);
+  EXPECT_EQ(store.lookup(key), std::optional<std::string>(rsbp));
+  EXPECT_TRUE(run().store_hit);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ using roleshare::util::framed::Error;
 using roleshare::util::framed::fnv1a_64;
 using roleshare::util::framed::magic4;
 using roleshare::util::framed::Reader;
-using roleshare::util::framed::starts_with_magic;
 using roleshare::util::framed::Writer;
 
 constexpr std::uint32_t kMagic = magic4('T', 'E', 'S', 'T');
@@ -58,9 +57,6 @@ TEST(FramedIo, Magic4IsLittleEndianAscii) {
   EXPECT_EQ(bytes.substr(0, 4), "TEST");
   EXPECT_EQ(static_cast<unsigned char>(bytes[4]), kVersion);
   EXPECT_EQ(static_cast<unsigned char>(bytes[5]), 0);
-  EXPECT_TRUE(starts_with_magic(bytes, kMagic));
-  EXPECT_FALSE(starts_with_magic(bytes, magic4('R', 'S', 'B', 'P')));
-  EXPECT_FALSE(starts_with_magic("TE", kMagic));
 }
 
 TEST(FramedIo, TypedScalarsRoundTrip) {

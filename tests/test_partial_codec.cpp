@@ -1,10 +1,10 @@
-// sim::PartialCodec — the serialization seam between the partial layer
-// and its bytes on disk. The contract under test: the binary framed
-// columnar format and the JSON text format are interchangeable down to
-// the dump() byte level (decode(encode(D)).dump() == parse(D.dump())
-// .dump() for every document), format detection picks the right codec
-// from leading bytes alone, and malformed binary input is rejected with
-// errors naming the origin — never decoded into a wrong document.
+// The partial codec — the serialization seam between the partial layer
+// and its bytes on disk. The contract under test: an RSBP frame decodes
+// to the canonical document down to the dump() byte level
+// (decode(encode(D)).dump() == parse(D.dump()).dump() for every
+// document), and anything that is not a well-formed RSBP frame — JSON
+// text included — is rejected with errors naming the origin, never
+// decoded into a wrong document.
 #include "sim/partial_codec.hpp"
 
 #include <gtest/gtest.h>
@@ -68,56 +68,24 @@ std::string canonical_dump(const Value& doc) {
   return util::json::parse(doc.dump()).dump();
 }
 
-TEST(PartialCodec, FormatNamesRoundTrip) {
-  EXPECT_STREQ(to_string(PartialFormat::Json), "json");
-  EXPECT_STREQ(to_string(PartialFormat::Binary), "bin");
-  EXPECT_EQ(parse_partial_format("json"), PartialFormat::Json);
-  EXPECT_EQ(parse_partial_format("bin"), PartialFormat::Binary);
-  EXPECT_EQ(parse_partial_format("binary"), PartialFormat::Binary);
-  EXPECT_THROW(parse_partial_format("yaml"), std::invalid_argument);
-}
-
 TEST(PartialCodec, BothFormatsDecodeToTheCanonicalDocument) {
+  // The RSBP frame and the JSON text of one document decode to the same
+  // canonical document.
   const Value doc = representative_document();
   const std::string want = canonical_dump(doc);
-  for (const PartialFormat format :
-       {PartialFormat::Json, PartialFormat::Binary}) {
-    const PartialCodec& codec = partial_codec(format);
-    EXPECT_EQ(codec.format(), format);
-    const std::string bytes = codec.encode(doc);
-    const Value back = codec.decode(bytes, "round trip");
-    EXPECT_EQ(back.dump(), want)
-        << "format " << to_string(format)
-        << " is distinguishable from the JSON path";
-  }
+  const Value back =
+      decode_partial_document(encode_partial_document(doc), "round trip");
+  EXPECT_EQ(back.dump(), want) << "RSBP is distinguishable from the JSON path";
 }
 
 TEST(PartialCodec, EncodeIsDeterministic) {
   const Value doc = representative_document();
-  for (const PartialFormat format :
-       {PartialFormat::Json, PartialFormat::Binary}) {
-    const PartialCodec& codec = partial_codec(format);
-    EXPECT_EQ(codec.encode(doc), codec.encode(doc));
-    // encode ∘ decode is a fixpoint: re-encoding the decoded document
-    // reproduces the bytes (the store-hit re-encode determinism).
-    const std::string bytes = codec.encode(doc);
-    EXPECT_EQ(codec.encode(codec.decode(bytes, "fixpoint")), bytes);
-  }
-}
-
-TEST(PartialCodec, DetectionPicksTheCodecFromLeadingBytes) {
-  const Value doc = representative_document();
-  const std::string json =
-      partial_codec(PartialFormat::Json).encode(doc);
-  const std::string bin =
-      partial_codec(PartialFormat::Binary).encode(doc);
-  EXPECT_EQ(detect_partial_format(json, "x"), PartialFormat::Json);
-  EXPECT_EQ(detect_partial_format(bin, "x"), PartialFormat::Binary);
-  EXPECT_EQ(detect_partial_format("  \n\t{\"a\": 1}", "x"),
-            PartialFormat::Json);
-  // The universal read path hides the format entirely.
-  EXPECT_EQ(decode_partial_document(json, "x").dump(),
-            decode_partial_document(bin, "x").dump());
+  const std::string bytes = encode_partial_document(doc);
+  EXPECT_EQ(encode_partial_document(doc), bytes);
+  // encode ∘ decode is a fixpoint: re-encoding the decoded document
+  // reproduces the bytes (the store-hit re-encode determinism).
+  EXPECT_EQ(encode_partial_document(decode_partial_document(bytes, "fixpoint")),
+            bytes);
 }
 
 TEST(PartialCodec, DetectionNamesOriginOnGarbage) {
@@ -125,9 +93,9 @@ TEST(PartialCodec, DetectionNamesOriginOnGarbage) {
        {std::string("not a document"), std::string(""),
         std::string("RSRS....")}) {
     try {
-      detect_partial_format(garbage, "mystery.file");
+      decode_partial_document(garbage, "mystery.file");
       FAIL() << "garbage accepted: " << garbage;
-    } catch (const std::invalid_argument& e) {
+    } catch (const util::framed::Error& e) {
       EXPECT_NE(std::string(e.what()).find("mystery.file"),
                 std::string::npos)
           << e.what();
@@ -136,30 +104,74 @@ TEST(PartialCodec, DetectionNamesOriginOnGarbage) {
 }
 
 TEST(PartialCodec, JsonDecodeErrorsNameTheOrigin) {
+  // A JSON-text partial (the retired file format) is refused at the
+  // frame magic, naming the file — it is never parsed as text.
+  const std::string json_text = representative_document().dump() + "\n";
   try {
-    partial_codec(PartialFormat::Json).decode("{broken", "bad.json");
-    FAIL() << "malformed JSON accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("bad.json"), std::string::npos)
-        << e.what();
+    decode_partial_document(json_text, "old_shard.json");
+    FAIL() << "JSON-text partial accepted";
+  } catch (const util::framed::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("old_shard.json"), std::string::npos) << what;
+    EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
   }
 }
 
 TEST(PartialCodec, BinaryTruncationAndTrailingBytesRejected) {
-  const std::string bytes =
-      partial_codec(PartialFormat::Binary).encode(representative_document());
-  const PartialCodec& codec = partial_codec(PartialFormat::Binary);
+  const std::string bytes = encode_partial_document(representative_document());
   // Exhaustive over the frame scaffolding, sampled over the long payload.
   for (std::size_t len = 0; len < bytes.size();
        len += (len < 64 || len + 64 > bytes.size()) ? 1 : 37) {
-    EXPECT_THROW(codec.decode(bytes.substr(0, len), "truncated"),
+    EXPECT_THROW(decode_partial_document(bytes.substr(0, len), "truncated"),
                  util::framed::Error)
         << "prefix of length " << len << " accepted";
   }
-  EXPECT_THROW(codec.decode(bytes + "\n", "trailing"), util::framed::Error);
+  EXPECT_THROW(decode_partial_document(bytes + "\n", "trailing"),
+               util::framed::Error);
+}
+
+TEST(PartialCodec, CorruptTreeIsRejectedNamingTheOrigin) {
+  // Well-formed frames whose tree is not a document: an unknown tag, a
+  // column reference past the columns section, and nesting past the
+  // depth cap.
+  const auto frame = [](const auto& write_tree) {
+    util::framed::Writer w(util::framed::magic4('R', 'S', 'B', 'P'), 1);
+    w.begin_section("columns");
+    w.put_u32(0);
+    w.end_section();
+    w.begin_section("tree");
+    write_tree(w);
+    w.end_section();
+    return w.finish();
+  };
+  const std::string unknown_tag =
+      frame([](util::framed::Writer& w) { w.put_u8(99); });
+  const std::string bad_column = frame([](util::framed::Writer& w) {
+    w.put_u8(7);  // column_ref
+    w.put_u32(0);
+  });
+  const std::string too_deep = frame([](util::framed::Writer& w) {
+    for (int i = 0; i < 200; ++i) {
+      w.put_u8(5);  // array
+      w.put_u32(1);
+    }
+    w.put_u8(0);  // null
+  });
+  for (const std::string& bytes : {unknown_tag, bad_column, too_deep}) {
+    try {
+      decode_partial_document(bytes, "corrupt.partial");
+      FAIL() << "corrupt tree accepted";
+    } catch (const util::framed::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("corrupt.partial"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(PartialCodec, RealPartialSurvivesEitherFormat) {
+  // A real experiment partial round-trips through its RSBP frame and
+  // through its JSON text to the same canonical document.
   DefectionExperimentConfig config;
   config.network.node_count = 50;
   config.network.seed = 4242;
@@ -169,32 +181,30 @@ TEST(PartialCodec, RealPartialSurvivesEitherFormat) {
   config.agg = AggBackend::Exact;
   const DefectionPartial partial = run_defection_partial(config);
   const std::string want = canonical_dump(partial.to_json());
-  for (const PartialFormat format :
-       {PartialFormat::Json, PartialFormat::Binary}) {
-    const std::string bytes = encode_partial(partial, format);
-    const DefectionPartial back =
-        decode_partial<DefectionPartial>(bytes, "round trip");
-    EXPECT_EQ(canonical_dump(back.to_json()), want)
-        << "format " << to_string(format);
-  }
+  const DefectionPartial from_rsbp =
+      DefectionPartial::from_json(decode_partial_document(
+          encode_partial_document(partial.to_json()), "round trip"));
+  EXPECT_EQ(canonical_dump(from_rsbp.to_json()), want);
+  const DefectionPartial from_text = DefectionPartial::from_json(
+      util::json::parse(partial.to_json().dump()));
+  EXPECT_EQ(canonical_dump(from_text.to_json()), want);
 }
 
 TEST(PartialCodec, ColumnarEncodingWinsOnSampleHeavyDocuments) {
-  // The size claim the binary format exists for: full-precision doubles
+  // The size claim the RSBP format exists for: full-precision doubles
   // print as ~20 text bytes but travel as 8 binary ones, so documents
   // dominated by sample columns (10k-run exact shards) must shrink. (On
-  // tiny documents the per-key framing overhead can make binary larger —
-  // that's fine; nobody shards a 4-run experiment for size.)
+  // tiny documents the per-key framing overhead can make RSBP larger
+  // than the text — that's fine; nobody shards a 4-run experiment for
+  // size.)
   Value doc = Value::object();
   doc.set("kind", "reward");
   Value samples = Value::array();
   for (int i = 0; i < 4096; ++i) samples.push_back(std::sqrt(2.0) * i);
   doc.set("samples", std::move(samples));
-  const std::size_t bin =
-      partial_codec(PartialFormat::Binary).encode(doc).size();
-  const std::size_t json =
-      partial_codec(PartialFormat::Json).encode(doc).size();
-  EXPECT_LT(bin, json / 2) << "binary " << bin << " vs json " << json;
+  const std::size_t bin = encode_partial_document(doc).size();
+  const std::size_t text = doc.dump().size();
+  EXPECT_LT(bin, text / 2) << "RSBP " << bin << " vs JSON text " << text;
 }
 
 }  // namespace

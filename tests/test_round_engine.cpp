@@ -204,20 +204,6 @@ TEST(RoundEngine, ReusedWorkspaceMatchesFreshRuns) {
   }
 }
 
-TEST(RoundEngine, WorkspaceOverloadMatchesAllocatingRunRound) {
-  Network a(config_with(0.2, 80, 63));
-  Network b(config_with(0.2, 80, 63));
-  RoundEngine ea(a, params_for(a));
-  RoundEngine eb(b, params_for(b));
-  RoundWorkspace ws;
-  for (int r = 0; r < 2; ++r) {
-    const RoundResult with_ws = ea.run_round(ws);
-    const RoundResult fresh = eb.run_round();
-    expect_results_equal(with_ws, fresh);
-  }
-  EXPECT_GT(ws.capacity_bytes(), 0u);
-}
-
 TEST(RoundEngine, DegradedSynchronyHurtsOutcomes) {
   NetworkConfig config = config_with(0.0, 100, 91);
   config.synchrony.degrade_probability = 1.0;  // always degraded
