@@ -36,7 +36,7 @@ class CostModel {
   /// Defaults reproduce §V-A: c_L = 16, c_M = 12, c_K = 6, c_so = 5 µAlgos.
   explicit CostModel(TaskCosts tasks = TaskCosts{});
 
-  /// Directly specifies role costs (used by sensitivity benches).
+  /// Directly specifies role costs instead of deriving them from tasks.
   /// Requires c_leader >= c_committee >= c_other >= c_sortition >= 0.
   static CostModel from_role_costs(double c_leader, double c_committee,
                                    double c_other, double c_sortition);

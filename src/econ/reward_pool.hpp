@@ -1,6 +1,5 @@
-// Reward pools (Fig 2): the Foundation Reward Pool with its 1.75-billion-
-// Algo lifetime ceiling, and the Transaction Fee Pool that accumulates fees
-// for future use. Exact integer accounting in µAlgos.
+// Foundation Reward Pool (Fig 2) with its 1.75-billion-Algo lifetime
+// ceiling. Exact integer accounting in µAlgos.
 #pragma once
 
 #include "ledger/types.hpp"
@@ -35,21 +34,6 @@ class FoundationPool {
   ledger::MicroAlgos balance_ = 0;
   ledger::MicroAlgos emitted_ = 0;
   ledger::MicroAlgos disbursed_ = 0;
-};
-
-/// Accumulates per-block transaction fees; per the Foundation plan it is
-/// not tapped until the Foundation pool's ceiling is met.
-class TransactionFeePool {
- public:
-  ledger::MicroAlgos balance() const { return balance_; }
-
-  void deposit(ledger::MicroAlgos fees);
-
-  /// Withdraws up to `amount`; returns what was actually taken.
-  ledger::MicroAlgos withdraw(ledger::MicroAlgos amount);
-
- private:
-  ledger::MicroAlgos balance_ = 0;
 };
 
 }  // namespace roleshare::econ

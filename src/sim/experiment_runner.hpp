@@ -245,7 +245,9 @@ auto run_experiment(const ExperimentSpec& spec, RunFn&& run_fn) {
     if (first_error) std::rethrow_exception(first_error);
   } else {
     util::ThreadPool pool(par.outer);
-    pool.parallel_for_indexed(shard.count(), execute_one);
+    pool.parallel_for_indexed(
+        shard.count(),
+        [&](std::size_t, std::size_t offset) { execute_one(offset); });
   }
   return results;
 }

@@ -42,6 +42,8 @@ struct StepContext {
   /// derive_seeds block per vote batch — which yields the same streams.
   const util::Rng* gossip_root = nullptr;
   const util::InnerExecutor* exec = nullptr;
+  /// One flood scratch per executor slot, shared by every step's floods.
+  std::span<net::GossipScratch> flood_scratch;
   /// Marked Committee for nodes that actually vote (observed roles).
   std::span<Role> observed_roles;
   /// Marked Committee for every elected node, voting or not (true roles).
@@ -92,11 +94,10 @@ void run_vote_step(const StepContext& ctx, std::uint32_t step,
     ws.origin_labels[i] = ws.votes[i].voter;
   step_stream.derive_seeds(ws.origin_labels, ws.origin_seeds);
   if (ws.arrivals.size() < nv) ws.arrivals.resize(nv);
-  if (ws.scratch.size() < nv) ws.scratch.resize(nv);
-  ctx.exec->for_each_index(nv, [&](std::size_t i) {
+  ctx.exec->for_each_index(nv, [&](std::size_t slot, std::size_t i) {
     util::Rng rng(ws.origin_seeds[i]);
     ctx.gossip->propagate_into(ws.votes[i].voter, 0.0, *ctx.relay_set, rng,
-                               ws.arrivals[i], ws.scratch[i]);
+                               ws.arrivals[i], ctx.flood_scratch[slot]);
   });
 
   // Every receiving node verifies each vote's sortition proof; the check
@@ -306,11 +307,12 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
     ws.proposer_labels[p] = ws.proposals[p].proposer;
   proposer_stream.derive_seeds(ws.proposer_labels, ws.proposer_seeds);
   if (ws.proposal_arrivals.size() < np) ws.proposal_arrivals.resize(np);
-  if (ws.proposal_scratch.size() < np) ws.proposal_scratch.resize(np);
-  exec_.for_each_index(np, [&](std::size_t p) {
+  if (ws.flood_scratch.size() < exec_.workers())
+    ws.flood_scratch.resize(exec_.workers());
+  exec_.for_each_index(np, [&](std::size_t slot, std::size_t p) {
     util::Rng prng(ws.proposer_seeds[p]);
     gossip.propagate_into(ws.proposals[p].proposer, 0.0, ws.relay, prng,
-                          ws.proposal_arrivals[p], ws.proposal_scratch[p]);
+                          ws.proposal_arrivals[p], ws.flood_scratch[slot]);
   });
 
   // Per-node proposal selection within the proposal timeout; also track
@@ -350,6 +352,7 @@ void RoundEngine::run_round_into(RoundResult& result, RoundWorkspace& ws) {
   ctx.gossip = &gossip;
   ctx.gossip_root = &gossip_root;
   ctx.exec = &exec_;
+  ctx.flood_scratch = ws.flood_scratch;
   ctx.observed_roles = ws.observed_roles;
   ctx.true_roles = ws.true_roles;
 

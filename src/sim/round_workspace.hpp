@@ -51,10 +51,9 @@ struct StepWorkspace {
   /// derived from the step's gossip stream in one derive_seeds call.
   std::vector<std::uint64_t> origin_labels;
   std::vector<std::uint64_t> origin_seeds;
-  /// Pools indexed by vote: arrival rows and Dijkstra scratch. Grown but
-  /// never shrunk, so inner capacity survives across steps.
+  /// Arrival rows indexed by vote. Grown but never shrunk, so inner
+  /// capacity survives across steps.
   std::vector<std::vector<net::TimeMs>> arrivals;
-  std::vector<net::GossipScratch> scratch;
   std::vector<std::uint8_t> valid;
   /// Flat tally tables, computed once per step (not once per node):
   /// counted[j] indexes the j-th valid vote; weight/value_id/coin_hash are
@@ -87,8 +86,12 @@ struct RoundWorkspace {
   std::vector<std::uint64_t> proposer_labels;
   std::vector<std::uint64_t> proposer_seeds;
   std::vector<std::vector<net::TimeMs>> proposal_arrivals;
-  std::vector<net::GossipScratch> proposal_scratch;
   std::vector<int> best_idx;
+
+  /// Flood scratch indexed by executor slot, one per inner worker. Only
+  /// the arrival rows outlive a flood, so the proposal phase and every
+  /// voting step (which run in turn) share these.
+  std::vector<net::GossipScratch> flood_scratch;
 
   // Voting steps.
   StepWorkspace step;

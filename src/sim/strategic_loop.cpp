@@ -118,11 +118,12 @@ StrategicLoopResult run_strategic_loop(const StrategicLoopConfig& config,
     game::Profile next = profile;
     // Per-index claiming, not chunks: each best response is a heavy game
     // evaluation, and populations are often smaller than a single chunk.
-    engine.executor().for_each_index(profile.size(), [&](std::size_t v) {
-      const auto id = static_cast<ledger::NodeId>(v);
-      if (!net.live(id)) return;  // departed nodes stay Offline
-      next[v] = game::best_response(game, profile, id);
-    });
+    engine.executor().for_each_index(
+        profile.size(), [&](std::size_t, std::size_t v) {
+          const auto id = static_cast<ledger::NodeId>(v);
+          if (!net.live(id)) return;  // departed nodes stay Offline
+          next[v] = game::best_response(game, profile, id);
+        });
     profile = std::move(next);
   }
 

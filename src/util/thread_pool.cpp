@@ -71,7 +71,8 @@ std::size_t InnerExecutor::chunk_count(std::size_t n) {
 }
 
 void InnerExecutor::for_each_index(
-    std::size_t n, const std::function<void(std::size_t)>& body) const {
+    std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>& body) const {
   if (n == 0) return;
   if (!parallel()) {
     // Inline, but with the pool's error semantics: every index attempted,
@@ -79,7 +80,7 @@ void InnerExecutor::for_each_index(
     std::exception_ptr first_error;
     for (std::size_t i = 0; i < n; ++i) {
       try {
-        body(i);
+        body(0, i);
       } catch (...) {
         if (!first_error) first_error = std::current_exception();
       }
@@ -96,7 +97,7 @@ void InnerExecutor::for_each_chunk(
     const {
   if (n == 0) return;
   const std::size_t chunk = chunk_length(n);
-  const auto run_chunk = [&](std::size_t c) {
+  const auto run_chunk = [&](std::size_t, std::size_t c) {
     const std::size_t begin = c * chunk;
     body(c, begin, std::min(n, begin + chunk));
   };
@@ -106,14 +107,14 @@ void InnerExecutor::for_each_chunk(
 namespace {
 
 /// Shared state of one parallel_for_indexed call, allocated on the
-/// caller's stack. Workers capture a single pointer to it, which fits
-/// std::function's small-buffer storage — a steady-state round performs
+/// caller's stack. Workers capture a pointer to it and their slot, which
+/// fits std::function's small-buffer storage — a steady-state round performs
 /// no heap allocation on this path. The error of the *lowest* failing
 /// index is kept (first_error_index guards the update), matching the
 /// previous per-index error array without its O(n) allocation.
 struct ParallelForState {
   std::size_t n = 0;
-  const std::function<void(std::size_t)>* body = nullptr;
+  const std::function<void(std::size_t, std::size_t)>* body = nullptr;
   std::atomic<std::size_t> next{0};
   std::size_t live = 0;  // guarded by done_mutex
   std::mutex done_mutex;
@@ -130,10 +131,12 @@ struct ParallelForState {
     }
   }
 
-  void claim_loop() {
+  /// Runs on one worker per fan-out slot; every index it claims sees that
+  /// slot.
+  void claim_loop(std::size_t slot) {
     for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
       try {
-        (*body)(i);
+        (*body)(slot, i);
       } catch (...) {
         record_error(i);
       }
@@ -150,7 +153,8 @@ struct ParallelForState {
 }  // namespace
 
 void ThreadPool::parallel_for_indexed(
-    std::size_t n, const std::function<void(std::size_t)>& body) {
+    std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
   ParallelForState state;
   state.n = n;
@@ -161,7 +165,7 @@ void ThreadPool::parallel_for_indexed(
     // every index attempted, lowest failing index's exception rethrown.
     for (std::size_t i = 0; i < n; ++i) {
       try {
-        body(i);
+        body(0, i);
       } catch (...) {
         state.record_error(i);
       }
@@ -169,7 +173,7 @@ void ThreadPool::parallel_for_indexed(
   } else {
     state.live = fan_out;
     for (std::size_t w = 0; w < fan_out; ++w)
-      submit([s = &state] { s->claim_loop(); });
+      submit([s = &state, w] { s->claim_loop(w); });
     std::unique_lock<std::mutex> lock(state.done_mutex);
     state.done.wait(lock, [&] { return state.live == 0; });
   }

@@ -45,13 +45,16 @@ class ThreadPool {
   /// drains the queue before joining the workers.
   void submit(std::function<void()> task);
 
-  /// Runs body(i) for every i in [0, n), distributing indices across the
-  /// workers, and blocks until all indices have finished. Every index is
-  /// attempted even when earlier ones throw; afterwards the exception of
-  /// the *lowest* failing index is rethrown, so the surfaced error does
-  /// not depend on scheduling order.
-  void parallel_for_indexed(std::size_t n,
-                            const std::function<void(std::size_t)>& body);
+  /// Runs body(slot, i) for every i in [0, n), distributing indices across
+  /// the workers, and blocks until all indices have finished. `slot` is
+  /// in [0, size()) and no two bodies running at the same time share one,
+  /// so per-slot scratch needs no locking. Every index is attempted even
+  /// when earlier ones throw; afterwards the exception of the *lowest*
+  /// failing index is rethrown, so the surfaced error does not depend on
+  /// scheduling order.
+  void parallel_for_indexed(
+      std::size_t n,
+      const std::function<void(std::size_t, std::size_t)>& body);
 
  private:
   void worker_loop();
@@ -90,12 +93,16 @@ class InnerExecutor {
   bool parallel() const { return workers() > 1; }
   ThreadPool* pool() const { return pool_; }
 
-  /// Runs body(i) for every i in [0, n) with dynamic per-index claiming —
-  /// the right shape for few, heavy, irregular items (e.g. one gossip
-  /// propagation per vote). Blocks until all indices finish; rethrows the
-  /// lowest failing index's exception.
-  void for_each_index(std::size_t n,
-                      const std::function<void(std::size_t)>& body) const;
+  /// Runs body(slot, i) for every i in [0, n) with dynamic per-index
+  /// claiming — the right shape for few, heavy, irregular items (e.g. one
+  /// gossip propagation per vote). `slot` < workers() and is never shared
+  /// by two concurrent bodies, so it can index per-worker scratch; which
+  /// slot runs an index is scheduling-dependent, so results must not
+  /// depend on it. Blocks until all indices finish; rethrows the lowest
+  /// failing index's exception.
+  void for_each_index(
+      std::size_t n,
+      const std::function<void(std::size_t, std::size_t)>& body) const;
 
   /// Runs body(chunk, begin, end) over contiguous chunks covering [0, n)
   /// — the right shape for many light items (per-node tallies, sortition

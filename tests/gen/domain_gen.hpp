@@ -1,8 +1,8 @@
 // Domain generators for the property suites (tests/prop/): randomized
-// but *valid* draws of the system's own configuration and message types,
-// built on util::proptest combinators so every draw shrinks toward a
-// minimal counterexample (smaller populations, fewer transactions,
-// rates closer to zero).
+// but *valid* draws of the system's own configuration types, built on
+// util::proptest combinators so every draw shrinks toward a minimal
+// counterexample (smaller populations, fewer shard cuts, rates closer to
+// zero).
 //
 // Everything here is deterministic in the Rng handed to Gen::generate —
 // the proptest seeding contract (DESIGN.md §8) therefore covers these
@@ -14,15 +14,8 @@
 #include <utility>
 #include <vector>
 
-#include "consensus/msg_codec.hpp"
 #include "consensus/params.hpp"
-#include "consensus/proposal.hpp"
-#include "consensus/votes.hpp"
-#include "crypto/hash.hpp"
-#include "crypto/keypair.hpp"
 #include "econ/role_snapshot.hpp"
-#include "ledger/block.hpp"
-#include "ledger/transaction.hpp"
 #include "sim/network.hpp"
 #include "sim/scenario_policy.hpp"
 #include "util/json.hpp"
@@ -32,26 +25,11 @@ namespace roleshare::testgen {
 
 using util::proptest::Gen;
 
-// ---- crypto / ledger values -----------------------------------------
-
-/// Uniform 32-byte hash; shrinks to the zero hash.
-Gen<crypto::Hash256> hash256();
-Gen<crypto::PublicKey> public_key();
+// ---- byte strings ----------------------------------------------------
 
 /// Arbitrary byte string (control bytes, quotes, backslashes, NUL and
 /// high bytes included) up to `max_len` — the JSON/string stressor.
 Gen<std::string> byte_string(std::size_t max_len);
-
-/// Signed transfer with a valid signature.
-Gen<ledger::Transaction> transaction();
-/// Block (empty-block variant included) carrying 0–4 transactions.
-Gen<ledger::Block> block();
-
-// ---- consensus messages (structurally arbitrary, codec targets) -----
-
-Gen<consensus::Vote> vote();
-Gen<consensus::BlockProposal> block_proposal();
-Gen<consensus::Credential> credential();
 
 // ---- configuration draws --------------------------------------------
 

@@ -55,10 +55,10 @@ TEST(InnerExecutor, SerialAndPooledForEachIndexAgree) {
   constexpr std::size_t n = 1000;
   std::vector<std::size_t> serial(n), pooled(n);
   util::InnerExecutor{}.for_each_index(
-      n, [&](std::size_t i) { serial[i] = i * i; });
+      n, [&](std::size_t, std::size_t i) { serial[i] = i * i; });
   util::ThreadPool pool(3);
   util::InnerExecutor(&pool).for_each_index(
-      n, [&](std::size_t i) { pooled[i] = i * i; });
+      n, [&](std::size_t, std::size_t i) { pooled[i] = i * i; });
   EXPECT_EQ(serial, pooled);
 }
 
@@ -66,7 +66,7 @@ TEST(InnerExecutor, RethrowsLowestFailingIndexInline) {
   util::InnerExecutor exec;  // serial path
   std::atomic<int> attempts{0};
   try {
-    exec.for_each_index(10, [&](std::size_t i) {
+    exec.for_each_index(10, [&](std::size_t, std::size_t i) {
       ++attempts;
       if (i == 3 || i == 7) throw std::runtime_error(std::to_string(i));
     });

@@ -7,7 +7,6 @@
 #include "econ/role_based.hpp"
 #include "econ/stake_proportional.hpp"
 #include "game/equilibrium.hpp"
-#include "game/welfare.hpp"
 #include "sim/round_engine.hpp"
 #include "util/distributions.hpp"
 
@@ -90,8 +89,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, OptimizerSelfConsistency,
 
 // ---------------------------------------------------------------------
 // Property: at the optimizer's B_i, the Theorem-3 profile (Y = all
-// Others) is a Nash equilibrium; welfare accounting balances
-// (welfare = expenditure - cost) on every profile checked.
+// Others) is a Nash equilibrium.
 class EquilibriumAtOptimum : public ::testing::TestWithParam<int> {};
 
 TEST_P(EquilibriumAtOptimum, HoldsOnRandomPopulations) {
@@ -110,12 +108,6 @@ TEST_P(EquilibriumAtOptimum, HoldsOnRandomPopulations) {
       snap, econ::CostModel{}, game::SchemeKind::RoleBased, r.min_bi,
       r.split, sync_set, 0.685});
   EXPECT_TRUE(game::verify_theorem3(g).holds);
-
-  const game::Profile profile = game::theorem3_profile(g);
-  const game::ProfileMetrics m = game::analyze_profile(g, profile);
-  EXPECT_NEAR(m.social_welfare, m.designer_expenditure - m.total_cost,
-              1e-6);
-  EXPECT_TRUE(m.block_created);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EquilibriumAtOptimum,

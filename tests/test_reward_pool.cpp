@@ -64,20 +64,5 @@ TEST(FoundationPool, RejectsNegativeAmounts) {
   EXPECT_THROW(FoundationPool(0), std::invalid_argument);
 }
 
-TEST(TransactionFeePool, DepositWithdraw) {
-  TransactionFeePool pool;
-  pool.deposit(500);
-  pool.deposit(250);
-  EXPECT_EQ(pool.balance(), 750);
-  EXPECT_EQ(pool.withdraw(1000), 750);  // clipped
-  EXPECT_EQ(pool.balance(), 0);
-}
-
-TEST(TransactionFeePool, RejectsNegative) {
-  TransactionFeePool pool;
-  EXPECT_THROW(pool.deposit(-5), std::invalid_argument);
-  EXPECT_THROW(pool.withdraw(-5), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace roleshare::econ

@@ -37,16 +37,17 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
     ThreadPool pool(workers);
     constexpr std::size_t n = 500;
     std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for_indexed(n, [&](std::size_t i) { ++hits[i]; });
+    pool.parallel_for_indexed(n,
+                              [&](std::size_t, std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
   }
 }
 
 TEST(ThreadPool, ParallelForHandlesEmptyAndTinyRanges) {
   ThreadPool pool(4);
-  pool.parallel_for_indexed(0, [](std::size_t) { FAIL(); });
+  pool.parallel_for_indexed(0, [](std::size_t, std::size_t) { FAIL(); });
   std::atomic<int> count{0};
-  pool.parallel_for_indexed(1, [&](std::size_t) { ++count; });
+  pool.parallel_for_indexed(1, [&](std::size_t, std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 1);
 }
 
@@ -56,7 +57,7 @@ TEST(ThreadPool, ExceptionOfLowestIndexPropagates) {
     constexpr std::size_t n = 64;
     std::vector<std::atomic<int>> attempted(n);
     try {
-      pool.parallel_for_indexed(n, [&](std::size_t i) {
+      pool.parallel_for_indexed(n, [&](std::size_t, std::size_t i) {
         ++attempted[i];
         if (i == 7) throw std::runtime_error("seven");
         if (i == 23) throw std::runtime_error("twenty-three");
@@ -75,10 +76,35 @@ TEST(ThreadPool, ReusableAcrossBatches) {
   ThreadPool pool(3);
   std::atomic<long long> total{0};
   for (int batch = 0; batch < 5; ++batch) {
-    pool.parallel_for_indexed(
-        100, [&](std::size_t i) { total += static_cast<long long>(i); });
+    pool.parallel_for_indexed(100, [&](std::size_t, std::size_t i) {
+      total += static_cast<long long>(i);
+    });
   }
   EXPECT_EQ(total.load(), 5 * (99 * 100 / 2));
+}
+
+// Per-slot scratch (the round engine's flood pool) needs exclusive
+// slots: every slot a body sees is below workers(), and no two bodies
+// running at the same time hold the same one.
+TEST(ThreadPool, ForEachIndexSlotsAreBoundedAndExclusive) {
+  for (const std::size_t workers : {1u, 4u}) {
+    ThreadPool pool(workers);
+    const InnerExecutor exec(&pool);
+    std::vector<std::atomic<int>> holders(exec.workers());
+    std::atomic<int> out_of_range{0};
+    std::atomic<int> shared{0};
+    exec.for_each_index(2000, [&](std::size_t slot, std::size_t) {
+      if (slot >= exec.workers()) {
+        ++out_of_range;
+        return;
+      }
+      if (holders[slot].fetch_add(1) != 0) ++shared;
+      std::this_thread::yield();
+      holders[slot].fetch_sub(1);
+    });
+    EXPECT_EQ(out_of_range.load(), 0) << workers << " workers";
+    EXPECT_EQ(shared.load(), 0) << workers << " workers";
+  }
 }
 
 // Overwrites the stack below the caller with non-zero bytes, the way
@@ -116,7 +142,7 @@ TEST(ThreadPoolStress, BackToBackTinyCalls) {
   // each worker records its thread handle exactly once.
   std::vector<pthread_t> workers(kWorkers);
   std::latch all_in(kWorkers);
-  pool.parallel_for_indexed(kWorkers, [&](std::size_t i) {
+  pool.parallel_for_indexed(kWorkers, [&](std::size_t, std::size_t i) {
     workers[i] = pthread_self();
     all_in.arrive_and_wait();
   });
@@ -128,7 +154,8 @@ TEST(ThreadPoolStress, BackToBackTinyCalls) {
   });
   std::atomic<std::size_t> total{0};
   for (std::size_t call = 0; call < kCalls; ++call) {
-    pool.parallel_for_indexed(kWorkers, [&](std::size_t i) { total += i; });
+    pool.parallel_for_indexed(kWorkers,
+                              [&](std::size_t, std::size_t i) { total += i; });
     scribble_stack();
   }
   stop.store(true);
